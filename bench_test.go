@@ -16,9 +16,9 @@
 // reduced workload; set BEAMBENCH_RECORDS to raise it (the slowdown
 // factors are per-record-dominated and scale-invariant).
 //
-// Ablation benchmarks isolate the design choices DESIGN.md Section 6
-// identifies as load-bearing: Flink operator chaining, Apex buffer-
-// server emit mode, and Spark micro-batch sizing.
+// Ablation benchmarks isolate the load-bearing mechanism choices: Flink
+// operator chaining, Apex buffer-server emit mode, and Spark micro-batch
+// sizing.
 package beambench_test
 
 import (

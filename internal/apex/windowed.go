@@ -164,11 +164,9 @@ func (o *windowAggOperator) Process(t []byte, emit func([]byte) error) error {
 			return fmt.Errorf("apex: window value: %w", err)
 		}
 	}
-	// The string hop keys the pane state and the closure is the generic
-	// accumulator-update API; combiner lifting (ROADMAP: zero-alloc
-	// record path) replaces both with typed upserts.
-	//beamvet:allow hotalloc pane state keys by string and updates through the generic accumulator closure until combiner lifting lands
-	o.state.Upsert(et, string(key), func(acc *watermark.NumAcc) { acc.Add(v) })
+	for _, acc := range o.state.Panes(et, key) {
+		acc.Add(v)
+	}
 	return nil
 }
 

@@ -77,8 +77,10 @@ type GBKState struct {
 	groups    map[string]*globalGroup
 	order     []string
 
-	// Event-time mode.
-	state *watermark.WindowState[windowAcc]
+	// Event-time mode. keyBuf holds the current record's canonical key
+	// as bytes, the form the pane state looks keys up by.
+	state  *watermark.WindowState[windowAcc]
+	keyBuf []byte
 
 	// Tracing handles, resolved once at construction (nil when disabled).
 	wmGauge *obs.Gauge
@@ -204,14 +206,11 @@ func (g *GBKState) Process(rec []byte, emit func([]byte) error) error {
 		if err != nil {
 			return fmt.Errorf("graphx: GroupByKey event time: %w", err)
 		}
-		// The per-record update closure is the price of the generic
-		// timer-state API; combiner lifting (ROADMAP) folds the
-		// accumulation into the state itself.
-		//beamvet:allow hotalloc the grouped-state update closure is the generic timer-state API until combiner lifting lands
-		g.state.Upsert(et, ks, func(acc *windowAcc) {
+		g.keyBuf = append(g.keyBuf[:0], ks...)
+		for _, acc := range g.state.Panes(et, g.keyBuf) {
 			acc.key = kv.Key
 			acc.values = append(acc.values, kv.Value)
-		})
+		}
 		return nil
 	}
 

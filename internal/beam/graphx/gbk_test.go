@@ -232,3 +232,23 @@ func TestEncodedKVKey(t *testing.T) {
 		t.Error("malformed encoding accepted")
 	}
 }
+
+// TestGBKStateIdleWatermarkDoesNotAllocate pins the hook Flink runs per
+// record: with no window due, AdvanceWatermark allocates nothing — its
+// pane adapter stays on the stack and the state does one comparison.
+func TestGBKStateIdleWatermarkDoesNotAllocate(t *testing.T) {
+	g := windowedState(t, time.Second)
+	if err := g.Process(encodeKV(t, "u1", "5|a"), func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	emit := func([]byte) error { return fmt.Errorf("pane fired below the watermark") }
+	w := gbkEpoch.Add(5 * time.Second)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := g.AdvanceWatermark(w, emit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("idle AdvanceWatermark allocates %.0f times, want 0", allocs)
+	}
+}

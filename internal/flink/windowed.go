@@ -128,12 +128,13 @@ func (ds *DataStream) AggWindow(name string, cfg WindowConfig) *DataStream {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		emitPane := func(out Collector) func(p watermark.Pane[watermark.NumAcc]) error {
-			return func(p watermark.Pane[watermark.NumAcc]) error {
-				return out.Collect(cfg.Format(p.Start, []byte(p.Key), p.Acc.Result(cfg.Agg)))
-			}
+		// The pane emitter is built once per subtask: the watermark hook
+		// runs for every record, and hands its collector over through out.
+		var out Collector
+		emitPane := func(p watermark.Pane[watermark.NumAcc]) error {
+			return out.Collect(cfg.Format(p.Start, []byte(p.Key), p.Acc.Result(cfg.Agg)))
 		}
-		process := func(rec []byte, out Collector) error {
+		process := func(rec []byte, _ Collector) error {
 			et, err := cfg.EventTime(rec)
 			if err != nil {
 				return fmt.Errorf("flink: %s event time: %w", name, err)
@@ -148,18 +149,18 @@ func (ds *DataStream) AggWindow(name string, cfg WindowConfig) *DataStream {
 					return fmt.Errorf("flink: %s value: %w", name, err)
 				}
 			}
-			// Same shape as the apex/spark window operators: the string
-			// hop and update closure are the generic pane API until
-			// combiner lifting lands (ROADMAP: zero-alloc record path).
-			//beamvet:allow hotalloc pane state keys by string and updates through the generic accumulator closure until combiner lifting lands
-			state.Upsert(et, string(key), func(acc *watermark.NumAcc) { acc.Add(v) })
+			for _, acc := range state.Panes(et, key) {
+				acc.Add(v)
+			}
 			return nil
 		}
-		onWatermark := func(w time.Time, out Collector) error {
-			return state.FireReady(w, emitPane(out))
+		onWatermark := func(w time.Time, o Collector) error {
+			out = o
+			return state.FireReady(w, emitPane)
 		}
-		flush := func(out Collector) error {
-			return state.FireAll(emitPane(out))
+		flush := func(o Collector) error {
+			out = o
+			return state.FireAll(emitPane)
 		}
 		return process, onWatermark, flush, nil
 	})

@@ -145,17 +145,19 @@ func (s *JoinState) Add(tagged []byte) error {
 	if err != nil {
 		return err
 	}
-	user := string(aol.FirstColumn(payload))
-	switch side {
-	case 'A':
-		q := append([]byte(nil), QueryText(payload)...)
-		s.state.Upsert(et, user, func(a *joinAcc) { a.queries = append(a.queries, q) })
-	default:
-		rank, err := ItemRank(payload)
-		if err != nil {
-			return err
+	var query []byte
+	var rank int64
+	if side == 'A' {
+		query = append([]byte(nil), QueryText(payload)...)
+	} else if rank, err = ItemRank(payload); err != nil {
+		return err
+	}
+	for _, a := range s.state.Panes(et, aol.FirstColumn(payload)) {
+		if side == 'A' {
+			a.queries = append(a.queries, query)
+		} else {
+			a.ranks = append(a.ranks, rank)
 		}
-		s.state.Upsert(et, user, func(a *joinAcc) { a.ranks = append(a.ranks, rank) })
 	}
 	return nil
 }
@@ -276,19 +278,19 @@ func (r *joinReference) add(rec []byte, ordinal int) error {
 	if err != nil {
 		return err
 	}
-	user := string(aol.FirstColumn(rec))
-	q := append([]byte(nil), QueryText(rec)...)
-	r.state.Upsert(et, user, func(a *joinRefAcc) {
-		a.queries = append(a.queries, joinRefQuery{text: q, ord: ordinal})
-	})
-	if HasItemRank(rec) {
-		rank, err := ItemRank(rec)
-		if err != nil {
+	var rank int64
+	clicked := HasItemRank(rec)
+	if clicked {
+		if rank, err = ItemRank(rec); err != nil {
 			return err
 		}
-		r.state.Upsert(et, user, func(a *joinRefAcc) {
+	}
+	q := append([]byte(nil), QueryText(rec)...)
+	for _, a := range r.state.Panes(et, aol.FirstColumn(rec)) {
+		a.queries = append(a.queries, joinRefQuery{text: q, ord: ordinal})
+		if clicked {
 			a.ranks = append(a.ranks, joinRefRank{rank: rank, ord: ordinal})
-		})
+		}
 	}
 	return nil
 }

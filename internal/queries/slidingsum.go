@@ -130,11 +130,10 @@ func (r *paneReference) add(rec []byte, ordinal int) error {
 			return err
 		}
 	}
-	user := string(aol.FirstColumn(rec))
-	r.state.Upsert(et, user, func(a *refAcc) {
+	for _, a := range r.state.Panes(et, aol.FirstColumn(rec)) {
 		a.acc.Add(v)
 		a.lastInput = ordinal
-	})
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -34,15 +35,84 @@ const eventTimeLayout = "2006-01-02 15:04:05"
 // translation derive event time this way, which is what makes the
 // windowed aggregation reproducible from the dataset alone.
 func EventTime(rec []byte) (time.Time, error) {
-	col := nthColumn(rec, 2)
-	if col == nil {
+	rest := skipColumns(rec, 2)
+	if rest == nil {
 		return time.Time{}, fmt.Errorf("queries: record %.40q has no query-time column", rec)
 	}
-	t, err := time.Parse(eventTimeLayout, string(col))
+	if t, ok := parseQueryTime(rest); ok {
+		return t, nil
+	}
+	t, err := time.Parse(eventTimeLayout, string(aol.FirstColumn(rest)))
 	if err != nil {
 		return time.Time{}, fmt.Errorf("queries: query time: %w", err)
 	}
 	return t, nil
+}
+
+// parseQueryTime parses the column at the head of rest when it has the
+// fixed-width "YYYY-MM-DD HH:MM:SS" shape the dataset uses, without the
+// string copy and layout interpretation of time.Parse. It reports false
+// for anything else — another width, a non-digit, a field out of range
+// — and the caller leaves the verdict, and the error text, to
+// time.Parse: whatever this accepts, time.Parse accepts with the same
+// result.
+func parseQueryTime(rest []byte) (time.Time, bool) {
+	const width = len(eventTimeLayout)
+	if len(rest) < width || (len(rest) > width && rest[width] != '\t') {
+		return time.Time{}, false
+	}
+	col := rest[:width]
+	if col[4] != '-' || col[7] != '-' || col[10] != ' ' || col[13] != ':' || col[16] != ':' {
+		return time.Time{}, false
+	}
+	// two reads the two-digit field at i; a non-digit yields a value
+	// above every field's range.
+	two := func(i int) int {
+		hi, lo := col[i]-'0', col[i+1]-'0'
+		if hi > 9 || lo > 9 {
+			return 100
+		}
+		return int(hi)*10 + int(lo)
+	}
+	century, year := two(0), two(2)
+	month, day := two(5), two(8)
+	hour, minute, sec := two(11), two(14), two(17)
+	if century > 99 || year > 99 || month < 1 || month > 12 || hour > 23 || minute > 59 || sec > 59 {
+		return time.Time{}, false
+	}
+	year += 100 * century
+	if day < 1 || day > daysIn(month, year) {
+		return time.Time{}, false
+	}
+	return time.Date(year, time.Month(month), day, hour, minute, sec, 0, time.UTC), true
+}
+
+// daysIn returns the length of the month in the proleptic Gregorian
+// calendar time.Parse validates days against.
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
+}
+
+// skipColumns returns what follows the record's first n tab-separated
+// columns; nil when the record has no more than n columns.
+func skipColumns(rec []byte, n int) []byte {
+	for ; n > 0; n-- {
+		i := bytes.IndexByte(rec, '\t')
+		if i < 0 {
+			return nil
+		}
+		rec = rec[i+1:]
+	}
+	return rec
 }
 
 // nthColumn returns the record's n-th (0-based) tab-separated column
@@ -50,21 +120,11 @@ func EventTime(rec []byte) (time.Time, error) {
 // slice when the column exists but is empty (the absent-item-rank
 // encoding).
 func nthColumn(rec []byte, n int) []byte {
-	start, col := 0, 0
-	for i, b := range rec {
-		if b != '\t' {
-			continue
-		}
-		if col == n {
-			return rec[start:i]
-		}
-		col++
-		start = i + 1
+	rest := skipColumns(rec, n)
+	if rest == nil {
+		return nil
 	}
-	if col == n {
-		return rec[start:]
-	}
-	return nil
+	return aol.FirstColumn(rest)
 }
 
 // EventTimeOf adapts EventTime to the abstraction layer's element-typed

@@ -76,8 +76,7 @@ type Costs struct {
 //
 // The absolute values are chosen so that a 50k-record run finishes in
 // tens of milliseconds to a few seconds on commodity hardware while the
-// *ratios* between the twelve setups match the paper's Figures 6–9 and 11
-// (see EXPERIMENTS.md for the measured comparison).
+// *ratios* between the twelve setups match the paper's Figures 6–9 and 11.
 func DefaultCosts() Costs {
 	return Costs{
 		BrokerProduceBatch:     60 * time.Microsecond,

@@ -7,8 +7,7 @@
 // Hesse et al. (ICDCS 2019) pay for I/O and coordination. The *mechanism*
 // differences between the native engines and the Apache-Beam-style runners
 // (batched vs. per-tuple emission, chained vs. per-operator hops) combined
-// with these charges reproduce the relative results of the paper; see
-// DESIGN.md Section 6.
+// with these charges reproduce the relative results of the paper.
 //
 // Charges are accumulated per goroutine in a Meter and realized as a
 // busy-wait (small amounts) or sleep+spin (large amounts), so the measured

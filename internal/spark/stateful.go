@@ -223,11 +223,9 @@ func (s *windowAggState) Process(task TaskContext, rec []byte, emit func([]byte)
 			return fmt.Errorf("spark: window value: %w", err)
 		}
 	}
-	// Same shape as the apex/flink window operators: the string hop
-	// and update closure are the generic pane API until combiner
-	// lifting lands (ROADMAP: zero-alloc record path).
-	//beamvet:allow hotalloc pane state keys by string and updates through the generic accumulator closure until combiner lifting lands
-	s.state.Upsert(et, string(key), func(acc *watermark.NumAcc) { acc.Add(v) })
+	for _, acc := range s.state.Panes(et, key) {
+		acc.Add(v)
+	}
 	return nil
 }
 

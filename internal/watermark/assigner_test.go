@@ -2,6 +2,9 @@ package watermark
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -9,6 +12,9 @@ import (
 func TestAssignerValidation(t *testing.T) {
 	if _, err := NewTumblingAssigner(0); err == nil {
 		t.Error("zero tumbling size accepted")
+	}
+	if _, err := NewTumblingAssigner(-time.Second); err == nil {
+		t.Error("negative tumbling size accepted")
 	}
 	if _, err := NewSlidingAssigner(0, time.Second); err == nil {
 		t.Error("zero sliding size accepted")
@@ -55,7 +61,7 @@ func TestSlidingAssignSlideNotDividingSize(t *testing.T) {
 		{7 * time.Second, 1}, // only [6,9)
 	} {
 		at := epoch.Add(tc.offset)
-		spans := a.Assign(at)
+		spans := assign(a, at)
 		if len(spans) != tc.want {
 			t.Errorf("Assign(epoch+%v) = %d windows %v, want %d", tc.offset, len(spans), spans, tc.want)
 		}
@@ -72,7 +78,7 @@ func TestSlidingAssignEpochAlignedBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := epoch.Add(5 * time.Second)
-	spans := a.Assign(at)
+	spans := assign(a, at)
 	if len(spans) != 2 {
 		t.Fatalf("Assign = %v, want 2 windows", spans)
 	}
@@ -91,12 +97,12 @@ func TestAssignSubSecondWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := epoch.Add(249 * time.Millisecond)
-	spans := tum.Assign(at)
+	spans := assign(tum, at)
 	if len(spans) != 1 || !spans[0].Start.Equal(epoch) {
 		t.Errorf("tumbling Assign = %v, want one window at epoch", spans)
 	}
 	checkSpans(t, spans, at)
-	if next := tum.Assign(epoch.Add(250 * time.Millisecond)); !next[0].Start.Equal(epoch.Add(250 * time.Millisecond)) {
+	if next := assign(tum, epoch.Add(250*time.Millisecond)); !next[0].Start.Equal(epoch.Add(250 * time.Millisecond)) {
 		t.Errorf("boundary record window = %v, want start epoch+250ms", next[0].Start)
 	}
 
@@ -105,7 +111,7 @@ func TestAssignSubSecondWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	at = epoch.Add(625 * time.Millisecond)
-	spans = sl.Assign(at)
+	spans = assign(sl, at)
 	if len(spans) != 2 {
 		t.Fatalf("sliding Assign = %v, want 2 windows", spans)
 	}
@@ -113,6 +119,115 @@ func TestAssignSubSecondWindows(t *testing.T) {
 		t.Errorf("sliding starts = %v/%v, want epoch+250ms/epoch+500ms", spans[0].Start, spans[1].Start)
 	}
 	checkSpans(t, spans, at)
+}
+
+// TestAssignMatchesTimeArithmetic holds the integer window arithmetic to
+// the time.Time arithmetic it replaced (oracleAssign), on sizes that do
+// and do not divide a second, a day, or the zero time's distance to the
+// Unix epoch, and on instants on both sides of that epoch.
+func TestAssignMatchesTimeArithmetic(t *testing.T) {
+	var assigners []Assigner
+	for _, size := range []time.Duration{1, 7, 250 * time.Millisecond, time.Second, 7 * time.Second,
+		1001 * time.Millisecond, 13 * time.Hour, 24 * time.Hour, 31 * 24 * time.Hour} {
+		tum, err := NewTumblingAssigner(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assigners = append(assigners, tum)
+		for _, div := range []time.Duration{1, 2, 3, 5} {
+			if size/div == 0 {
+				continue
+			}
+			sl, err := NewSlidingAssigner(size, size/div)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assigners = append(assigners, sl)
+		}
+	}
+	sess, err := NewSessionAssigner(3 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assigners = append(assigners, sess)
+
+	rng := rand.New(rand.NewSource(1))
+	bases := []time.Time{epoch, time.Unix(0, 0), time.Date(1969, time.July, 20, 20, 17, 40, 0, time.UTC), time.Date(2200, time.January, 1, 0, 0, 0, 0, time.UTC)}
+	for _, a := range assigners {
+		for _, base := range bases {
+			for i := 0; i < 200; i++ {
+				at := base.Add(time.Duration(rng.Int63n(int64(100 * 24 * time.Hour))))
+				if i%10 == 0 {
+					at = at.Truncate(time.Second) // land on boundaries too
+				}
+				got, want := assign(a, at), oracleAssign(a, at)
+				if len(got) != len(want) {
+					t.Fatalf("%s assigns %v to %v, want %v", a.Name(), at, got, want)
+				}
+				for j := range got {
+					if !got[j].Start.Equal(want[j].Start) || !got[j].End.Equal(want[j].End) {
+						t.Fatalf("%s assigns %v to %v, want %v", a.Name(), at, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWindowsAtTheEndsOfTime pins what the int64 form does where it runs
+// out: instants beyond its range saturate, windows reaching past either
+// end are cut off there (and those that collapse into one count a record
+// once), and the end-of-input watermark still releases all of them.
+func TestWindowsAtTheEndsOfTime(t *testing.T) {
+	if got := nanos(time.Time{}); got != math.MinInt64 {
+		t.Errorf("nanos(zero time) = %d, want MinInt64", got)
+	}
+	if got := nanos(EndOfTime); got != math.MaxInt64 {
+		t.Errorf("nanos(EndOfTime) = %d, want MaxInt64", got)
+	}
+	if got := nanos(EndOfTime.Add(time.Hour)); got != math.MaxInt64 {
+		t.Errorf("nanos(past EndOfTime) = %d, want MaxInt64", got)
+	}
+	if !fromNanos(nanos(epoch)).Equal(epoch) {
+		t.Errorf("fromNanos(nanos(epoch)) = %v, want %v", fromNanos(nanos(epoch)), epoch)
+	}
+
+	a, err := NewSlidingAssigner(2*time.Second, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewWindowState[int64](a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := func(c *int64) { *c++ }
+	s.Upsert(time.Time{}, "first", inc)
+	s.Upsert(epoch, "u", inc)
+	s.Upsert(EndOfTime, "last", inc)
+	if err := s.FireReady(time.Time{}, func(p Pane[int64]) error {
+		return fmt.Errorf("pane %v fired at the zero watermark", p)
+	}); err != nil {
+		t.Error(err)
+	}
+	var keys []string
+	if err := s.FireAll(func(p Pane[int64]) error {
+		if p.End.After(EndOfTime) || !p.Start.Before(p.End) {
+			t.Errorf("pane %s spans [%v, %v)", p.Key, p.Start, p.End)
+		}
+		if p.Acc != 1 {
+			t.Errorf("pane %s [%v, %v) counts %d records, want 1", p.Key, p.Start, p.End, p.Acc)
+		}
+		keys = append(keys, p.Key)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"first", "u", "u", "last", "last"}; !slices.Equal(keys, want) {
+		t.Errorf("FireAll keys = %v, want %v", keys, want)
+	}
+	if s.Open() != 0 {
+		t.Errorf("open windows after FireAll = %d, want 0", s.Open())
+	}
 }
 
 // sessionPanes drains a count-accumulating session state into

@@ -38,10 +38,35 @@
 // accumulates per-(window, key) state under any Assigner and fires
 // panes in a deterministic order once the watermark passes a window's
 // end; NumAcc with an AggKind (agg.go) provides the numeric aggregates
-// (count, sum, min, max, avg) the windowed queries compose with it.
-// TumblingState (state.go) remains as the one-window fast path. The
+// (count, sum, min, max, avg) the windowed queries compose with it. The
 // engines' windowed operators and the Beam runners' GroupByKey
 // translation are thin wrappers around these.
+//
+// WindowState is the keyed record path of every stateful cell, so its
+// costs are kept to what the work is worth:
+//
+//   - Ordered index. The open windows are kept ordered by (end, start)
+//     when they are opened — an append for in-order arrivals, a binary
+//     search and a short move for out-of-order and late ones — so
+//     FireReady never sorts, and when nothing is due it is one integer
+//     comparison against the earliest end, however many windows are
+//     open. Engines that deliver a watermark per record (Flink) make
+//     that call per record. A key's sessions are kept ordered the same
+//     way. Inside the state, instants are int64 Unix nanoseconds;
+//     time.Time instants outside that range (years 1678–2262) saturate
+//     to its ends, and EndOfTime is exactly its upper end.
+//   - Pane access. WindowState.Panes(t, key) returns the accumulators
+//     of every window assigned to t for the key, and the caller folds
+//     the record into each: no update closure, no string conversion of
+//     the key (it is copied once, when its pane is created), no slice
+//     per record from the assigner. The returned slice and the pointers
+//     in it are scratch owned by the state, valid until the next call
+//     on it — use them at once, do not keep them. Upsert is the closure
+//     form of the same call.
+//   - Late records. A record behind the watermark is not dropped: it
+//     re-opens its (already fired) window, which fires a second,
+//     partial pane on the next FireReady. Every engine shares that
+//     behaviour; an explicit lateness policy is future work.
 package watermark
 
 import (

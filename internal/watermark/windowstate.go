@@ -2,14 +2,25 @@ package watermark
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 )
 
+// Pane is one fired (window, key) aggregate.
+type Pane[T any] struct {
+	// Start and End bound the window: [Start, End), in UTC.
+	Start, End time.Time
+	// Key is the pane's grouping key.
+	Key string
+	// Acc is the final accumulator value.
+	Acc T
+}
+
 // WindowState accumulates per-(window, key) state under any Assigner
-// and fires panes once the watermark passes a window's end. It is the
-// generalization of the original tumbling-only state: tumbling windows
-// assign each record to one pane, sliding windows to several
+// and fires panes once the watermark passes a window's end: tumbling
+// windows assign each record to one pane, sliding windows to several
 // overlapping panes, and session windows to a key-local pane that
 // merges with overlapping sessions as records arrive (in any order).
 //
@@ -20,31 +31,72 @@ import (
 // uses this state, so their pane multisets agree whenever they observe
 // the same records — the property behind the byte-identical sorted
 // outputs of the windowed benchmark queries.
+//
+// A record behind the watermark is not dropped: it re-opens its window,
+// which fires again — a second, partial pane — on the next FireReady.
+//
+// Instants are held as int64 Unix nanoseconds (see nanos for the range).
+// A WindowState is owned by one goroutine, and emit callbacks must not
+// call back into it.
 type WindowState[T any] struct {
 	assigner Assigner
+	merges   bool // assigner.Merges(): which of the two representations below is in use
 	merge    func(into *T, from T)
 
-	// Non-merging representation: shared windows keyed by span.
-	windows map[Span]*windowGroup[T]
-	// spans tracks the open windows; kept sorted lazily at fire time
-	// (the open set is tiny: a few windows per slide step).
-	spans []Span
+	// Non-merging representation: the open windows are open[head:],
+	// ordered by (end, start) at insert. The first is the next to fire,
+	// so a FireReady that has nothing to do is one comparison. Firing
+	// advances head; the fired slots in front are reclaimed once they
+	// outnumber the open windows, which keeps a pop O(1) amortized
+	// however many windows are open.
+	open []window[T]
+	head int
 
-	// Merging representation: per-key session intervals.
-	sessions map[string][]*session[T]
-	keyRank  map[string]int
-	nextRank int
+	// Merging representation: per-key session intervals. Entries stay
+	// after a key's last session fired; they carry its first-seen rank.
+	sessions map[string]*keySessions[T]
+	// sessionDue is a lower bound on the earliest open session end
+	// (sessions only grow, so the bound survives merges).
+	sessionDue int64
+
+	// Scratch reused by every Panes call.
+	spans []span
+	accs  []*T
 }
 
-// windowGroup is one window's keyed accumulators in first-seen order.
-type windowGroup[T any] struct {
-	byKey map[string]*T
-	order []string
+// window is one open window's keyed accumulators in first-seen order.
+type window[T any] struct {
+	span  span
+	panes []pane[T]
+	// fired counts the panes at the front that were already emitted (a
+	// window stays partly fired only after an emit error).
+	fired int
+	// index maps a key to its position in panes. Most windows hold a
+	// handful of keys and are scanned instead; the index is built when a
+	// window outgrows scanLimit.
+	index map[string]int
+}
+
+// scanLimit is the pane count up to which a window finds keys by
+// scanning: below it a scan beats hashing, and a map per window would be
+// most of the state's allocations.
+const scanLimit = 8
+
+type pane[T any] struct {
+	key string
+	acc T
+}
+
+// keySessions is one key's open sessions: disjoint, not abutting,
+// ascending by start.
+type keySessions[T any] struct {
+	rank int // the key's first-seen rank, the firing tie-break
+	open []*session[T]
 }
 
 // session is one key's merged interval and accumulator.
 type session[T any] struct {
-	span Span
+	span span
 	acc  T
 }
 
@@ -59,165 +111,235 @@ func NewWindowState[T any](a Assigner, merge func(into *T, from T)) (*WindowStat
 		return nil, fmt.Errorf("watermark: assigner %s merges windows but no merge fn was given", a.Name())
 	}
 	return &WindowState[T]{
-		assigner: a,
-		merge:    merge,
-		windows:  make(map[Span]*windowGroup[T]),
-		sessions: make(map[string][]*session[T]),
-		keyRank:  make(map[string]int),
+		assigner:   a,
+		merges:     a.Merges(),
+		merge:      merge,
+		sessions:   make(map[string]*keySessions[T]),
+		sessionDue: math.MaxInt64,
 	}, nil
 }
 
 // Assigner returns the state's window assigner.
 func (s *WindowState[T]) Assigner() Assigner { return s.assigner }
 
-// Upsert applies update to the accumulator of every window assigned to
-// t for the given key, creating zero accumulators for new (window, key)
-// pairs. Under a merging assigner the record's proto-session first
-// coalesces with every overlapping or abutting session of the same key.
-func (s *WindowState[T]) Upsert(t time.Time, key string, update func(*T)) {
-	if s.assigner.Merges() {
-		s.upsertSession(t, key, update)
-		return
+// Panes returns the accumulators of every window assigned to t for the
+// given key, in ascending window start order, creating zero
+// accumulators for new (window, key) pairs; the caller folds the record
+// into each. Under a merging assigner the record's proto-session first
+// coalesces with every overlapping or abutting session of the same key
+// and the one merged accumulator is returned.
+//
+// The slice and the pointers in it are the state's scratch: they are
+// valid until the next call on the state. The key is copied only when a
+// pane is created, so a call that finds its panes allocates nothing.
+func (s *WindowState[T]) Panes(t time.Time, key []byte) []*T {
+	s.spans = s.assigner.appendSpans(s.spans[:0], nanos(t))
+	s.accs = s.accs[:0]
+	if s.merges {
+		s.accs = append(s.accs, s.sessionAcc(s.spans[0], key))
+		return s.accs
 	}
-	for _, span := range s.assigner.Assign(t) {
-		g, ok := s.windows[span]
+	for _, sp := range s.spans {
+		i, ok := s.locate(sp)
 		if !ok {
-			g = &windowGroup[T]{byKey: make(map[string]*T)}
-			s.windows[span] = g
-			s.spans = append(s.spans, span)
+			i = s.insert(i, window[T]{span: sp})
 		}
-		acc, ok := g.byKey[key]
-		if !ok {
-			acc = new(T)
-			g.byKey[key] = acc
-			g.order = append(g.order, key)
-		}
+		s.accs = append(s.accs, s.open[i].acc(key))
+	}
+	return s.accs
+}
+
+// Upsert applies update to every accumulator Panes returns for t and
+// key: the closure form of the same primitive.
+func (s *WindowState[T]) Upsert(t time.Time, key string, update func(*T)) {
+	for _, acc := range s.Panes(t, []byte(key)) {
 		update(acc)
 	}
 }
 
-func (s *WindowState[T]) upsertSession(t time.Time, key string, update func(*T)) {
-	if _, ok := s.keyRank[key]; !ok {
-		s.keyRank[key] = s.nextRank
-		s.nextRank++
+// locate returns sp's index in s.open and whether it is open; when it is
+// not, the index is where it belongs.
+func (s *WindowState[T]) locate(sp span) (int, bool) {
+	lo, hi := s.head, len(s.open)
+	// In-order arrivals hit the newest window or open one behind it.
+	if hi > lo {
+		switch last := s.open[hi-1].span; {
+		case last == sp:
+			return hi - 1, true
+		case last.less(sp):
+			return hi, false
+		}
+		hi--
 	}
-	proto := s.assigner.Assign(t)[0]
-	merged := &session[T]{span: proto}
-	var rest []*session[T]
-	// Coalesce ascending by start so non-commutative accumulators see a
-	// deterministic merge order regardless of arrival order.
-	existing := s.sessions[key]
-	sort.SliceStable(existing, func(i, j int) bool { return existing[i].span.Start.Before(existing[j].span.Start) })
-	for _, sess := range existing {
-		if overlapsOrAbuts(sess.span, proto) {
-			if sess.span.Start.Before(merged.span.Start) {
-				merged.span.Start = sess.span.Start
-			}
-			if sess.span.End.After(merged.span.End) {
-				merged.span.End = sess.span.End
-			}
-			s.merge(&merged.acc, sess.acc)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.open[mid].span.less(sp) {
+			lo = mid + 1
 		} else {
-			rest = append(rest, sess)
+			hi = mid
 		}
 	}
-	update(&merged.acc)
-	s.sessions[key] = append(rest, merged)
+	return lo, lo < len(s.open) && s.open[lo].span == sp
 }
 
-func overlapsOrAbuts(a, b Span) bool {
-	return !a.End.Before(b.Start) && !b.End.Before(a.Start)
+// insert opens w at index i of s.open and returns where it ended up. It
+// moves whichever side of i is shorter — the older windows into a fired
+// slot in front when there is one, the newer ones toward the end
+// otherwise — so a window costs its distance from the nearer end: none
+// for in-order arrivals, and little for a lagging input that fills in
+// windows just ahead of the watermark.
+func (s *WindowState[T]) insert(i int, w window[T]) int {
+	if s.head > 0 && i-s.head < len(s.open)-i {
+		copy(s.open[s.head-1:], s.open[s.head:i])
+		s.head--
+		i--
+		s.open[i] = w
+		return i
+	}
+	s.open = slices.Insert(s.open, i, w)
+	return i
+}
+
+// acc returns key's accumulator in w, appending a zero one for a key
+// the window has not seen (or has already fired).
+func (w *window[T]) acc(key []byte) *T {
+	if w.index != nil {
+		if i, ok := w.index[string(key)]; ok {
+			return &w.panes[i].acc
+		}
+	} else {
+		for i := w.fired; i < len(w.panes); i++ {
+			if w.panes[i].key == string(key) {
+				return &w.panes[i].acc
+			}
+		}
+	}
+	k := string(key)
+	w.panes = append(w.panes, pane[T]{key: k})
+	last := len(w.panes) - 1
+	switch {
+	case w.index != nil:
+		w.index[k] = last
+	case last-w.fired >= scanLimit:
+		w.index = make(map[string]int, 2*scanLimit)
+		for i := w.fired; i <= last; i++ {
+			w.index[w.panes[i].key] = i
+		}
+	}
+	return &w.panes[last].acc
+}
+
+// sessionAcc merges proto with the key's sessions it overlaps or abuts
+// and returns the merged session's accumulator.
+func (s *WindowState[T]) sessionAcc(proto span, key []byte) *T {
+	ks, ok := s.sessions[string(key)]
+	if !ok {
+		ks = &keySessions[T]{rank: len(s.sessions)}
+		s.sessions[string(key)] = ks
+	}
+	// The key's sessions are disjoint and ordered, so the ones proto
+	// touches are one run [lo, hi).
+	lo := 0
+	for lo < len(ks.open) && ks.open[lo].span.end < proto.start {
+		lo++
+	}
+	hi := lo
+	for hi < len(ks.open) && ks.open[hi].span.start <= proto.end {
+		hi++
+	}
+	// Coalesce into a zero accumulator ascending by start, so
+	// non-commutative accumulators see a deterministic merge order
+	// regardless of arrival order.
+	merged := &session[T]{span: proto}
+	for _, sess := range ks.open[lo:hi] {
+		merged.span.start = min(merged.span.start, sess.span.start)
+		merged.span.end = max(merged.span.end, sess.span.end)
+		s.merge(&merged.acc, sess.acc)
+	}
+	ks.open = slices.Replace(ks.open, lo, hi, merged)
+	s.sessionDue = min(s.sessionDue, merged.span.end)
+	return &merged.acc
 }
 
 // FireReady emits and removes every pane of windows the watermark has
 // passed (watermark >= window end), in the deterministic order. It
-// stops on the first emit error, leaving later panes in place.
+// stops on the first emit error, leaving the failed pane and every
+// later one in place for a retry.
 func (s *WindowState[T]) FireReady(w time.Time, emit func(Pane[T]) error) error {
-	if s.assigner.Merges() {
-		return s.fireSessions(w, emit)
+	wm := nanos(w)
+	if s.merges {
+		return s.fireSessions(wm, emit)
 	}
-	if len(s.spans) == 0 {
-		return nil
-	}
-	sort.Slice(s.spans, func(i, j int) bool {
-		if !s.spans[i].End.Equal(s.spans[j].End) {
-			return s.spans[i].End.Before(s.spans[j].End)
-		}
-		return s.spans[i].Start.Before(s.spans[j].Start)
-	})
-	for len(s.spans) > 0 {
-		span := s.spans[0]
-		if w.Before(span.End) {
-			break
-		}
-		// Trim before-or-never: the span must leave the slice exactly
-		// when its window leaves the map, or an emit error in a LATER
-		// window would leave this (already fired and deleted) window's
-		// span behind and a retry would dereference its nil group.
-		if err := s.fireWindow(span, emit); err != nil {
+	for s.head < len(s.open) && s.open[s.head].span.end <= wm {
+		if err := s.open[s.head].fire(emit); err != nil {
 			return err
 		}
-		s.spans = s.spans[1:]
+		s.open[s.head] = window[T]{}
+		s.head++
+	}
+	if s.head > 0 && s.head >= len(s.open)-s.head {
+		n := copy(s.open, s.open[s.head:])
+		clear(s.open[n:])
+		s.open, s.head = s.open[:n], 0
 	}
 	return nil
 }
 
-func (s *WindowState[T]) fireWindow(span Span, emit func(Pane[T]) error) error {
-	g := s.windows[span]
-	for len(g.order) > 0 {
-		key := g.order[0]
-		p := Pane[T]{Start: span.Start, End: span.End, Key: key, Acc: *g.byKey[key]}
-		if err := emit(p); err != nil {
-			return err // unfired keys stay in place for the caller's error path
+// fire emits w's unfired panes in first-seen key order.
+func (w *window[T]) fire(emit func(Pane[T]) error) error {
+	start, end := fromNanos(w.span.start), fromNanos(w.span.end)
+	for ; w.fired < len(w.panes); w.fired++ {
+		p := &w.panes[w.fired]
+		if err := emit(Pane[T]{Start: start, End: end, Key: p.key, Acc: p.acc}); err != nil {
+			return err
 		}
-		g.order = g.order[1:]
-		delete(g.byKey, key)
+		if w.index != nil {
+			delete(w.index, p.key)
+		}
+		*p = pane[T]{}
 	}
-	delete(s.windows, span)
 	return nil
 }
 
-func (s *WindowState[T]) fireSessions(w time.Time, emit func(Pane[T]) error) error {
+func (s *WindowState[T]) fireSessions(wm int64, emit func(Pane[T]) error) error {
+	if wm < s.sessionDue {
+		return nil
+	}
 	type ready struct {
 		key  string
-		idx  int
+		ks   *keySessions[T]
 		sess *session[T]
 	}
 	var due []ready
-	for key, sessions := range s.sessions {
-		for i, sess := range sessions {
-			if !w.Before(sess.span.End) {
-				due = append(due, ready{key: key, idx: i, sess: sess})
+	next := int64(math.MaxInt64)
+	for key, ks := range s.sessions {
+		for _, sess := range ks.open {
+			if sess.span.end <= wm {
+				due = append(due, ready{key: key, ks: ks, sess: sess})
+			} else {
+				next = min(next, sess.span.end)
 			}
 		}
 	}
 	sort.Slice(due, func(i, j int) bool {
 		a, b := due[i].sess.span, due[j].sess.span
-		if !a.Start.Equal(b.Start) {
-			return a.Start.Before(b.Start)
+		if a.start != b.start {
+			return a.start < b.start
 		}
-		if !a.End.Equal(b.End) {
-			return a.End.Before(b.End)
+		if a.end != b.end {
+			return a.end < b.end
 		}
-		return s.keyRank[due[i].key] < s.keyRank[due[j].key]
+		return due[i].ks.rank < due[j].ks.rank
 	})
 	for _, r := range due {
-		p := Pane[T]{Start: r.sess.span.Start, End: r.sess.span.End, Key: r.key, Acc: r.sess.acc}
+		p := Pane[T]{Start: fromNanos(r.sess.span.start), End: fromNanos(r.sess.span.end), Key: r.key, Acc: r.sess.acc}
 		if err := emit(p); err != nil {
-			return err
+			return err // sessionDue still admits the retry
 		}
-		remaining := s.sessions[r.key][:0]
-		for _, sess := range s.sessions[r.key] {
-			if sess != r.sess {
-				remaining = append(remaining, sess)
-			}
-		}
-		if len(remaining) == 0 {
-			delete(s.sessions, r.key)
-		} else {
-			s.sessions[r.key] = remaining
-		}
+		i := slices.Index(r.ks.open, r.sess)
+		r.ks.open = slices.Delete(r.ks.open, i, i+1)
 	}
+	s.sessionDue = next
 	return nil
 }
 
@@ -229,12 +351,12 @@ func (s *WindowState[T]) FireAll(emit func(Pane[T]) error) error {
 
 // Open reports how many windows (or sessions) currently hold state.
 func (s *WindowState[T]) Open() int {
-	if s.assigner.Merges() {
-		n := 0
-		for _, sessions := range s.sessions {
-			n += len(sessions)
-		}
-		return n
+	if !s.merges {
+		return len(s.open) - s.head
 	}
-	return len(s.windows)
+	n := 0
+	for _, ks := range s.sessions {
+		n += len(ks.open)
+	}
+	return n
 }

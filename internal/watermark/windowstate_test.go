@@ -7,7 +7,21 @@ import (
 	"time"
 )
 
-func collectPanes(t *testing.T, s *TumblingState[int64], w time.Time) []string {
+// newTumbling returns count state over 1-second tumbling windows.
+func newTumbling(t *testing.T) *WindowState[int64] {
+	t.Helper()
+	a, err := NewTumblingAssigner(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewWindowState[int64](a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func collectPanes(t *testing.T, s *WindowState[int64], w time.Time) []string {
 	t.Helper()
 	var out []string
 	err := s.FireReady(w, func(p Pane[int64]) error {
@@ -20,20 +34,8 @@ func collectPanes(t *testing.T, s *TumblingState[int64], w time.Time) []string {
 	return out
 }
 
-func TestTumblingStateRejectsNonPositiveSize(t *testing.T) {
-	if _, err := NewTumblingState[int64](0); err == nil {
-		t.Error("zero window size accepted")
-	}
-	if _, err := NewTumblingState[int64](-time.Second); err == nil {
-		t.Error("negative window size accepted")
-	}
-}
-
-func TestTumblingStateFiresInWindowThenFirstSeenOrder(t *testing.T) {
-	s, err := NewTumblingState[int64](time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestWindowStateFiresInWindowThenFirstSeenOrder(t *testing.T) {
+	s := newTumbling(t)
 	inc := func(c *int64) { *c++ }
 	// Feed out of window order; keys b then a within the first window.
 	s.Upsert(epoch.Add(2500*time.Millisecond), "z", inc)
@@ -71,11 +73,8 @@ func TestTumblingStateFiresInWindowThenFirstSeenOrder(t *testing.T) {
 	}
 }
 
-func TestTumblingStateMultipleReadyWindowsFireAscending(t *testing.T) {
-	s, err := NewTumblingState[int64](time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestWindowStateMultipleReadyWindowsFireAscending(t *testing.T) {
+	s := newTumbling(t)
 	inc := func(c *int64) { *c++ }
 	// Insert windows in descending order.
 	for i := 4; i >= 0; i-- {
@@ -93,17 +92,14 @@ func TestTumblingStateMultipleReadyWindowsFireAscending(t *testing.T) {
 	}
 }
 
-func TestTumblingStateEmitErrorKeepsUnfiredPanes(t *testing.T) {
-	s, err := NewTumblingState[int64](time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestWindowStateEmitErrorKeepsUnfiredPanes(t *testing.T) {
+	s := newTumbling(t)
 	inc := func(c *int64) { *c++ }
 	s.Upsert(epoch, "a", inc)
 	s.Upsert(epoch, "b", inc)
 	boom := errors.New("boom")
 	calls := 0
-	err = s.FireAll(func(Pane[int64]) error {
+	err := s.FireAll(func(Pane[int64]) error {
 		calls++
 		return boom
 	})
@@ -119,21 +115,18 @@ func TestTumblingStateEmitErrorKeepsUnfiredPanes(t *testing.T) {
 	}
 }
 
-// TestTumblingStateEmitErrorInLaterWindowRetries pins the error-path
+// TestWindowStateEmitErrorInLaterWindowRetries pins the error-path
 // bookkeeping: when an earlier window fires completely and a LATER
 // window's emit errors, a retry must fire only the remaining panes —
 // not panic on the already-removed window, and not re-emit it.
-func TestTumblingStateEmitErrorInLaterWindowRetries(t *testing.T) {
-	s, err := NewTumblingState[int64](time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestWindowStateEmitErrorInLaterWindowRetries(t *testing.T) {
+	s := newTumbling(t)
 	inc := func(c *int64) { *c++ }
 	s.Upsert(epoch, "a", inc)                  // window 0
 	s.Upsert(epoch.Add(time.Second), "b", inc) // window 1
 	boom := errors.New("boom")
 	calls := 0
-	err = s.FireAll(func(Pane[int64]) error {
+	err := s.FireAll(func(Pane[int64]) error {
 		calls++
 		if calls == 2 {
 			return boom // fail on window 1 after window 0 fired cleanly
