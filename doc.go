@@ -31,15 +31,20 @@
 // key) panes in a deterministic order — ascending window, keys first
 // seen first — as soon as the watermark passes a window's end.
 //
-// Each engine flushes panes at its natural clock: Flink tuple-at-a-time
-// (DataStream.TumblingCountWindow behind KeyBy), Spark Streaming at
-// micro-batch boundaries (DStream.ReduceByKeyAndWindow, a keyed state
-// path persisting across batches; RepartitionByKey reunites keys above
-// parallelism 1), Apex at streaming-window boundaries (the
-// TumblingCountWindow operator behind SetStreamKeyed keyed streams).
-// The Beam runners all deploy the shared executable graphx.GBKState for
-// GroupByKey — the Spark runner's paper-era stateful rejection
-// (ErrStatefulUnsupported) is lifted. Capability gaps that remain (e.g.
+// What a keyed stateful operator does is written once, against the
+// watermark.Operator contract (Process, OnWatermark, Flush over
+// []byte): watermark.AggOperator is the windowed aggregate of the
+// native WindowedCount and SlidingSum queries, queries.JoinState the
+// join, graphx.GBKState the Beam runners' GroupByKey — the Spark
+// runner's paper-era stateful rejection (ErrStatefulUnsupported) is
+// lifted. Each engine deploys any such operator through one hook that
+// adds its firing clock and nothing else: Flink tuple-at-a-time
+// (DataStream.KeyedProcess behind KeyBy), Spark Streaming at
+// micro-batch boundaries (DStream.Stateful, a keyed state path
+// persisting across batches; RepartitionByKey reunites keys above
+// parallelism 1), Apex at the watermark control events of its
+// streaming-window protocol (apex.KeyedOp behind SetStreamKeyed keyed
+// streams). Capability gaps that remain (e.g.
 // non-global windowing without an element-derived event-time extractor)
 // are reported by wrapping the shared beam.ErrUnsupported sentinel, and
 // the harness records such cells as skipped-with-reason instead of

@@ -29,8 +29,9 @@ import (
 )
 
 // Scope limits the analyzer to output-producing packages: the query
-// definitions, the four engine runtimes, the shared execution plan,
-// and the runners. "/testdata/" keeps analysistest fixtures in scope.
+// definitions, the four engine runtimes, the keyed operators and pane
+// state they share (watermark), the shared execution plan, and the
+// runners. "/testdata/" keeps analysistest fixtures in scope.
 // Harness, broker, metrics, and yarn are intentionally out: they
 // measure and transport wall-clock facts and never produce record
 // bytes. internal/obs is in: its trace clock is monotonic by
@@ -38,6 +39,7 @@ import (
 var Scope = []string{
 	"internal/obs",
 	"internal/queries",
+	"internal/watermark",
 	"internal/flink",
 	"internal/spark",
 	"internal/apex",

@@ -21,11 +21,12 @@
 //     record allocates a fresh closure object)
 //
 // Entry points are recognized two ways: by name — methods and
-// functions called Process, ProcessElement, Invoke, Encode, Decode,
-// Mark, MarkAt, or Insert — and by shape: any function literal taking
-// a []byte parameter (the runtimes' ProcessFunc/emit contract). The
-// walk stays within the package (cross-package callees are the
-// callee package's findings) and is bounded at depth 6.
+// functions called Process, OnWatermark (Flink delivers a watermark per
+// tuple), ProcessElement, Invoke, Encode, Decode, Mark, MarkAt, or
+// Insert — and by shape: any function literal taking a []byte parameter
+// (the runtimes' ProcessFunc/emit contract). The walk stays within the
+// package (cross-package callees are the callee package's findings) and
+// is bounded at depth 6.
 //
 // Findings are an inventory, not always a bug: a defensive copy a
 // coder's ownership contract requires is annotated
@@ -43,7 +44,9 @@ import (
 )
 
 // Scope covers the code records flow through: the three engine
-// runtimes, the beam SDK (coders, graphx, runners), the metrics hot
+// runtimes, the keyed operators they deploy (the windowed aggregate in
+// watermark, the join in queries, next to the native queries' record
+// functions), the beam SDK (coders, graphx, runners), the metrics hot
 // hooks, and the obs layer (its gauge setters and snapshot readers sit
 // next to per-record marking; scrape-path allocations must be
 // deliberate and annotated).
@@ -51,6 +54,8 @@ var Scope = []string{
 	"internal/flink",
 	"internal/spark",
 	"internal/apex",
+	"internal/watermark",
+	"internal/queries",
 	"internal/beam",
 	"internal/metrics",
 	"internal/obs",
@@ -66,6 +71,7 @@ var Analyzer = &analysis.Analyzer{
 // rootNames are the per-record entry points by method/function name.
 var rootNames = map[string]bool{
 	"Process":        true, // engine operators, GBKState
+	"OnWatermark":    true, // keyed operators; per record on Flink
 	"ProcessElement": true, // beam DoFns, graphx FusedFn
 	"Invoke":         true, // flink sink functions
 	"Encode":         true, // coder round-trip

@@ -70,48 +70,14 @@ type GenericOperator interface {
 	Teardown() error
 }
 
-// Optional GenericOperator hooks; the runtime checks for them per
-// partition instance.
-type (
-	// WindowEndAware operators are told about streaming-window
-	// boundaries: EndWindow runs when the upstream window marker
-	// arrives, before the window's batch publishes downstream, so
-	// emissions ride in the closing window. Stateful windowed operators
-	// flush watermark-ready panes here.
-	WindowEndAware interface {
-		EndWindow(emit func([]byte) error) error
-	}
-	// StreamFlusher operators emit remaining state when their input
-	// stream ends (all upstream partitions finished — the
-	// broker.EndOfInput contract propagated through the DAG).
-	StreamFlusher interface {
-		EndStream(emit func([]byte) error) error
-	}
-	// SenderAware operators are told which upstream partition published
-	// each tuple; the runtime calls ProcessFrom instead of Process. The
-	// index is global over the operator's input streams (stream order,
-	// then partition order) — the same space watermark control events
-	// are tagged with.
-	SenderAware interface {
-		ProcessFrom(from int, tuple []byte, emit func([]byte) error) error
-	}
-	// WatermarkAware operators receive the partition's combined input
-	// watermark — the minimum over all upstream senders' control
-	// events — whenever it advances. Stateful event-time operators fire
-	// their watermark-ready panes here; emissions ride in the currently
-	// open streaming window.
-	WatermarkAware interface {
-		OnWatermark(w time.Time, emit func([]byte) error) error
-	}
-	// WatermarkEmitter operators generate event-time watermarks (the
-	// timestamp assigner, where event time enters the DAG). After each
-	// processed batch the runtime reads CurrentWatermark and publishes
-	// advances downstream as control events — always behind the tuples
-	// they cover, never ahead of them.
-	WatermarkEmitter interface {
-		CurrentWatermark() time.Time
-	}
-)
+// WatermarkEmitter is the optional GenericOperator hook of operators
+// that generate event-time watermarks (the timestamp assigner, where
+// event time enters the DAG). After each processed batch the runtime
+// reads CurrentWatermark and publishes advances downstream as control
+// events — always behind the tuples they cover, never ahead of them.
+type WatermarkEmitter interface {
+	CurrentWatermark() time.Time
+}
 
 // OutputOperator consumes tuples.
 type OutputOperator interface {

@@ -1,12 +1,14 @@
 package apex
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"beambench/internal/watermark"
 	"beambench/internal/yarn"
 )
 
@@ -16,21 +18,41 @@ func windowedTuple(sec int, key string) []byte {
 	return []byte(fmt.Sprintf("%d|%s", sec, key))
 }
 
+// winEventTime and winKey parse "sec|key" tuples without allocating,
+// so the 0-alloc pin below measures the adapter and the operator alone.
 func winEventTime(t []byte) (time.Time, error) {
-	var sec int
-	if _, err := fmt.Sscanf(string(t), "%d|", &sec); err != nil {
-		return time.Time{}, err
+	i := bytes.IndexByte(t, '|')
+	if i < 0 {
+		return time.Time{}, fmt.Errorf("tuple %q has no separator", t)
+	}
+	sec := 0
+	for _, c := range t[:i] {
+		sec = sec*10 + int(c-'0')
 	}
 	return winEpoch.Add(time.Duration(sec) * time.Second), nil
 }
 
 func winKey(t []byte) ([]byte, error) {
-	i := strings.IndexByte(string(t), '|')
-	return t[i+1:], nil
+	return t[bytes.IndexByte(t, '|')+1:], nil
 }
 
 func winFormat(start time.Time, key []byte, count int64) []byte {
 	return []byte(fmt.Sprintf("%d:%s=%d", start.Sub(winEpoch)/time.Second, key, count))
+}
+
+// countWindow deploys the shared windowed aggregate as a per-(window,
+// key) count over tumbling windows of the given size.
+func countWindow(size time.Duration) GenericFactory {
+	return KeyedOp(func(OperatorContext) (watermark.Operator, error) {
+		a, err := watermark.NewTumblingAssigner(size)
+		if err != nil {
+			return nil, err
+		}
+		return watermark.NewAggOperator(watermark.AggConfig{
+			Assigner: a, Agg: watermark.AggCount,
+			EventTime: winEventTime, Key: winKey, Format: winFormat,
+		})
+	})
 }
 
 func runWindowedApp(t *testing.T, input [][]byte, parallelism, windowTuples int) []string {
@@ -46,7 +68,7 @@ func runWindowedApp(t *testing.T, input [][]byte, parallelism, windowTuples int)
 	app := NewApplication("windowed")
 	app.AddInput("in", SliceInput(input))
 	app.AddOperator("assign", AssignTimestamps(winEventTime, 0))
-	app.AddOperator("count", TumblingCountWindow(time.Second, winEventTime, winKey, winFormat))
+	app.AddOperator("count", countWindow(time.Second))
 	app.AddOutput("out", CollectOutput(collector))
 	app.AddStream("s0", "in", "assign")
 	app.AddStream("s1", "assign", "count")
@@ -63,7 +85,7 @@ func runWindowedApp(t *testing.T, input [][]byte, parallelism, windowTuples int)
 	return collector.Strings()
 }
 
-func TestTumblingCountWindowCountsPerWindowAndKey(t *testing.T) {
+func TestKeyedOpCountsPerWindowAndKey(t *testing.T) {
 	input := [][]byte{
 		windowedTuple(0, "a"),
 		windowedTuple(0, "b"),
@@ -78,11 +100,11 @@ func TestTumblingCountWindowCountsPerWindowAndKey(t *testing.T) {
 	}
 }
 
-// TestTumblingCountWindowFiresOnStreamingWindowBoundary pins the
-// EndWindow flush: with a 2-tuple streaming window, the pane of an
-// already-passed event-time window must be published at the next window
-// boundary, before the input ends.
-func TestTumblingCountWindowFiresOnStreamingWindowBoundary(t *testing.T) {
+// TestKeyedOpFiresOnStreamingWindowBoundary pins the firing clock: with
+// a 2-tuple streaming window, the pane of an already-passed event-time
+// window must be published at the next window boundary, before the
+// input ends.
+func TestKeyedOpFiresOnStreamingWindowBoundary(t *testing.T) {
 	input := [][]byte{
 		windowedTuple(0, "a"),
 		windowedTuple(1, "a"), // watermark passes window 0 here
@@ -96,9 +118,9 @@ func TestTumblingCountWindowFiresOnStreamingWindowBoundary(t *testing.T) {
 	}
 }
 
-// TestTumblingCountWindowKeyedPartitioning checks that keyed stream
+// TestKeyedOpKeyedPartitioning checks that keyed stream
 // routing keeps every (window, key) pane whole at parallelism 2.
-func TestTumblingCountWindowKeyedPartitioning(t *testing.T) {
+func TestKeyedOpKeyedPartitioning(t *testing.T) {
 	var input [][]byte
 	for i := range 80 {
 		input = append(input, windowedTuple(i/20, fmt.Sprintf("k%d", i%4)))
@@ -166,13 +188,13 @@ func (o chanOutput) Process(t []byte) error { o.ch <- string(t); return nil }
 func (o chanOutput) EndWindow() error       { return nil }
 func (o chanOutput) Teardown() error        { return nil }
 
-// TestTumblingCountWindowFiresPerPaneAtP2 pins per-pane firing under
+// TestKeyedOpFiresPerPaneAtP2 pins per-pane firing under
 // parallelism 2: once the propagated (min-over-senders) watermark has
 // passed a window's end, its pane must publish while the input is still
 // running. The input withholds its final record until the first pane
 // reaches the sink — under the old conservative fallback (panes fire
 // only at end of input at P>1) this test times out instead.
-func TestTumblingCountWindowFiresPerPaneAtP2(t *testing.T) {
+func TestKeyedOpFiresPerPaneAtP2(t *testing.T) {
 	cluster, err := yarn.NewCluster(yarn.ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +219,7 @@ func TestTumblingCountWindowFiresPerPaneAtP2(t *testing.T) {
 		}, nil
 	})
 	app.AddOperator("assign", AssignTimestamps(winEventTime, 0))
-	app.AddOperator("count", TumblingCountWindow(time.Second, winEventTime, winKey, winFormat))
+	app.AddOperator("count", countWindow(time.Second))
 	app.AddOutput("out", func(OperatorContext) (OutputOperator, error) {
 		return chanOutput{ch: fired}, nil
 	})
@@ -223,7 +245,11 @@ func TestTumblingCountWindowFiresPerPaneAtP2(t *testing.T) {
 	}
 }
 
-func TestTumblingCountWindowValidation(t *testing.T) {
+// TestKeyedOpFactoryErrorFailsLaunch pins where a rejected operator
+// config surfaces: the factory runs at partition setup and its error
+// fails the application. (What the config rejects is the operator's own
+// test, watermark.TestNewAggOperatorValidation.)
+func TestKeyedOpFactoryErrorFailsLaunch(t *testing.T) {
 	cluster, err := yarn.NewCluster(yarn.ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +259,7 @@ func TestTumblingCountWindowValidation(t *testing.T) {
 	collector := NewTupleCollector()
 	app := NewApplication("bad")
 	app.AddInput("in", SliceInput([][]byte{windowedTuple(0, "a")}))
-	app.AddOperator("count", TumblingCountWindow(0, winEventTime, winKey, winFormat))
+	app.AddOperator("count", countWindow(0))
 	app.AddOutput("out", CollectOutput(collector))
 	app.AddStream("s1", "in", "count")
 	app.AddStream("s2", "count", "out")
@@ -251,5 +277,37 @@ func TestSetStreamKeyedUnknownStream(t *testing.T) {
 	app.SetStreamKeyed("nope", winKey)
 	if err := app.validate(); err == nil {
 		t.Error("unknown stream accepted")
+	}
+}
+
+// TestKeyedOpRecordPathDoesNotAllocate pins the adapter's cost: the
+// runtime passes one emit value, built when the partition starts, on
+// every call, so a tuple that lands in an existing (window, key) pane
+// and a watermark that releases nothing allocate nothing.
+func TestKeyedOpRecordPathDoesNotAllocate(t *testing.T) {
+	inst, err := countWindow(time.Second)(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyed, ok := inst.(watermark.Operator)
+	if !ok {
+		t.Fatalf("KeyedOp built a %T, which the runtime would not deliver watermarks to", inst)
+	}
+	emitted := 0
+	emit := func([]byte) error { emitted++; return nil }
+	tuple := windowedTuple(7, "a")
+	if err := inst.Process(tuple, emit); err != nil {
+		t.Fatal(err)
+	}
+	idle := winEpoch.Add(7 * time.Second) // window [7s, 8s) is still open
+	if n := testing.AllocsPerRun(100, func() {
+		if err := inst.Process(tuple, emit); err != nil {
+			t.Fatal(err)
+		}
+		if err := keyed.OnWatermark(idle, emit); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 || emitted != 0 {
+		t.Errorf("Process on an existing pane + idle OnWatermark: %v allocs per tuple, %d emissions; want 0, 0", n, emitted)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"beambench/internal/broker"
+	"beambench/internal/watermark"
 )
 
 // _inputIdlePoll is how long a Kafka input waits for data before
@@ -27,32 +28,12 @@ const _inputIdlePoll = 20 * time.Millisecond
 // round-robin, Malhar-style.
 func KafkaInput(b *broker.Broker, topic string, target int64) InputFactory {
 	return func(ctx OperatorContext) (InputOperator, error) {
-		nParts, err := b.Partitions(topic)
+		consumer, eoi, err := broker.OpenShare(b, topic, broker.ConsumerConfig{},
+			ctx.PartitionIndex(), ctx.PartitionCount(), target)
 		if err != nil {
 			return nil, fmt.Errorf("apex: kafka input: %w", err)
 		}
-		consumer, err := b.NewConsumer(broker.ConsumerConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("apex: kafka input: %w", err)
-		}
-		var assigned []int
-		for p := range nParts {
-			if p%ctx.PartitionCount() == ctx.PartitionIndex() {
-				if err := consumer.Assign(topic, p, 0); err != nil {
-					return nil, fmt.Errorf("apex: kafka input: %w", err)
-				}
-				assigned = append(assigned, p)
-			}
-		}
-		eoi, err := broker.NewEndOfInput(b, topic, target, assigned)
-		if err != nil {
-			return nil, fmt.Errorf("apex: kafka input: %w", err)
-		}
-		k := &kafkaInput{consumer: consumer, eoi: eoi}
-		if len(assigned) == 0 {
-			k.done = true
-		}
-		return k, nil
+		return &kafkaInput{consumer: consumer, eoi: eoi, done: eoi.Empty()}, nil
 	}
 }
 
@@ -208,6 +189,42 @@ func ProcessOp(factory func(ctx OperatorContext) (func(tuple []byte, emit func([
 		return &funcOperator{fn: fn}, nil
 	}
 }
+
+// KeyedOp deploys a keyed stateful operator on the engine's firing
+// clock: the runtime hands every tuple to Process, the partition's
+// combined input watermark — the minimum over all upstream senders'
+// control events — to OnWatermark whenever a control event advances
+// it, and calls Flush when the input streams end (all upstream
+// partitions finished: the broker.EndOfInput contract propagated
+// through the DAG). Whatever the operator emits joins the partition's
+// open streaming window, which publishes at its boundary — or at once
+// behind the watermark control event that released the emissions, so
+// they do not wait on tuple traffic that may have paused.
+//
+// Route the input stream with Application.SetStreamKeyed, so every
+// key's tuples reach one partition, and place an AssignTimestamps
+// operator upstream. Because the watermark is combined min-over-senders
+// before delivery, a keyed merge of several racing upstream partitions
+// needs no conservative fallback: nothing fires before every sender's
+// watermark has passed it.
+func KeyedOp(factory func(ctx OperatorContext) (watermark.Operator, error)) GenericFactory {
+	if factory == nil {
+		return failingGeneric(errors.New("apex: nil keyed operator factory"))
+	}
+	return func(ctx OperatorContext) (GenericOperator, error) {
+		op, err := factory(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return keyedOperator{op}, nil
+	}
+}
+
+// keyedOperator is a watermark.Operator as a GenericOperator; the
+// runtime finds OnWatermark and Flush on it by asserting the contract.
+type keyedOperator struct{ watermark.Operator }
+
+func (keyedOperator) Teardown() error { return nil }
 
 func failingGeneric(err error) GenericFactory {
 	return func(OperatorContext) (GenericOperator, error) { return nil, err }

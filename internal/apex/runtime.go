@@ -551,12 +551,10 @@ func (at *attempt) runGenericPartition(op *opDef, ctx *partitionContext, ctr *ya
 		return nil
 	}
 
-	// Sender-aware operators (keyed event-time state) are told which
-	// upstream sender published each tuple. Watermark-aware operators
-	// receive the combined (min-over-senders) input watermark as it
-	// advances; watermark emitters (the timestamp assigner) generate it.
-	sa, senderAware := inst.(SenderAware)
-	wa, watermarkAware := inst.(WatermarkAware)
+	// Keyed operators (KeyedOp) receive the combined (min-over-senders)
+	// input watermark as it advances and are flushed at end of stream;
+	// watermark emitters (the timestamp assigner) generate it.
+	keyed, isKeyed := inst.(watermark.Operator)
 	we, watermarkEmitter := inst.(WatermarkEmitter)
 	tracker := watermark.NewMinTracker(max(ctx.inParts, 1))
 	// A parallel-partitioned (1:1) input stream routes tuples and
@@ -602,8 +600,8 @@ func (at *attempt) runGenericPartition(op *opDef, ctx *partitionContext, ctr *ya
 		if w.Equal(watermark.EndOfTime) {
 			s.cfg.Trace.Instant("drain/"+op.name, "end-of-input")
 		}
-		if watermarkAware {
-			if err := wa.OnWatermark(w, emit); err != nil {
+		if isKeyed {
+			if err := keyed.OnWatermark(w, emit); err != nil {
 				return fmt.Errorf("apex: operator %q[%d] watermark: %w", op.name, ctx.idx, err)
 			}
 		}
@@ -654,13 +652,7 @@ func (at *attempt) runGenericPartition(op *opDef, ctx *partitionContext, ctr *ya
 		}
 		for _, t := range batch.tuples {
 			op.stats.in.Add(1)
-			var err error
-			if senderAware {
-				err = sa.ProcessFrom(batch.from, t, emit)
-			} else {
-				err = inst.Process(t, emit)
-			}
-			if err != nil {
+			if err := inst.Process(t, emit); err != nil {
 				return fmt.Errorf("apex: operator %q[%d]: %w", op.name, ctx.idx, err)
 			}
 		}
@@ -670,14 +662,6 @@ func (at *attempt) runGenericPartition(op *opDef, ctx *partitionContext, ctr *ya
 			}
 		}
 		if batch.windowEnd {
-			// Window-boundary flush: a window-aware stateful operator
-			// (windowed aggregation) emits its watermark-ready panes into
-			// the closing window before it publishes downstream.
-			if wea, ok := inst.(WindowEndAware); ok {
-				if err := wea.EndWindow(emit); err != nil {
-					return fmt.Errorf("apex: operator %q[%d] end window: %w", op.name, ctx.idx, err)
-				}
-			}
 			for _, snd := range senders {
 				if snd.def.perTuple {
 					if err := snd.publishMarker(); err != nil {
@@ -704,12 +688,12 @@ func (at *attempt) runGenericPartition(op *opDef, ctx *partitionContext, ctr *ya
 			}
 		}
 	}
-	// End of stream: stateful operators release their remaining state
-	// (the upstream sources met the broker.EndOfInput contract), then a
+	// End of stream: keyed operators release their remaining state (the
+	// upstream sources met the broker.EndOfInput contract), then a
 	// trailing partial window publishes without a boundary marker, and
 	// the partition finalizes its watermark downstream.
-	if fl, ok := inst.(StreamFlusher); ok {
-		if err := fl.EndStream(emit); err != nil {
+	if isKeyed {
+		if err := keyed.Flush(emit); err != nil {
 			return fmt.Errorf("apex: operator %q[%d] end stream: %w", op.name, ctx.idx, err)
 		}
 	}

@@ -41,8 +41,9 @@ type GBKConfig struct {
 }
 
 // GBKState is the stateful GroupByKey executable every engine runner
-// deploys, sharing one pane-firing semantics across Flink, Spark and
-// Apex (and matching the direct runner's reference output):
+// deploys — a watermark.Operator, handed as is to the engine's keyed
+// hook — sharing one pane-firing semantics across Flink, Spark and Apex
+// (and matching the direct runner's reference output):
 //
 //   - Global windows: values group per key; an AfterCount trigger fires
 //     a key's pane every N values, and Flush emits the remaining groups
@@ -54,7 +55,7 @@ type GBKConfig struct {
 //     under Sessions. The executable generates no watermark of its own:
 //     pane firing is driven entirely by the watermark the engine
 //     propagates through the dataflow as control events (stamped by the
-//     upstream WindowInto assigner) and delivered via AdvanceWatermark.
+//     upstream WindowInto assigner) and delivered via OnWatermark.
 //     Windows the watermark has passed fire ascending by (end, start)
 //     with keys in first-seen order; Flush (the source met
 //     broker.EndOfInput, so the end-of-stream watermark arrived) fires
@@ -81,6 +82,10 @@ type GBKState struct {
 	// as bytes, the form the pane state looks keys up by.
 	state  *watermark.WindowState[windowAcc]
 	keyBuf []byte
+	// emit is the running call's emit, parked for pane, which is
+	// g.emitPane bound once.
+	emit func([]byte) error
+	pane func(watermark.Pane[windowAcc]) error
 
 	// Tracing handles, resolved once at construction (nil when disabled).
 	wmGauge *obs.Gauge
@@ -165,15 +170,12 @@ func NewGBKState(cfg GBKConfig) (*GBKState, error) {
 	}
 	g.windowed = true
 	g.state = state
+	g.pane = g.emitPane
 	return g, nil
 }
 
 // Windowed reports whether the instance runs in event-time mode.
 func (g *GBKState) Windowed() bool { return g.windowed }
-
-// Charge rebinds the cost sink. Engines whose task meters are scoped to
-// a batch (Spark) rebind before each delivery; nil disables charging.
-func (g *GBKState) Charge(fn func(time.Duration)) { g.cfg.Charge = fn }
 
 func (g *GBKState) charge(d time.Duration) {
 	if g.cfg.Charge != nil {
@@ -183,8 +185,8 @@ func (g *GBKState) charge(d time.Duration) {
 
 // Process consumes one encoded KV record. In event-time mode it only
 // accumulates — pane firing awaits the propagated watermark
-// (AdvanceWatermark). In global mode a count trigger may fire the key's
-// pane immediately.
+// (OnWatermark). In global mode a count trigger may fire the key's pane
+// immediately.
 func (g *GBKState) Process(rec []byte, emit func([]byte) error) error {
 	elem, err := g.cfg.Input.Decode(rec)
 	if err != nil {
@@ -227,19 +229,18 @@ func (g *GBKState) Process(rec []byte, emit func([]byte) error) error {
 	return nil
 }
 
-// AdvanceWatermark delivers the propagated input watermark — a control
+// OnWatermark delivers the propagated input watermark — a control
 // event asserting no earlier event time will arrive on this instance's
 // input — and emits every event-time pane the watermark released. It is
 // a no-op in global-window mode, so engines can deliver watermarks
 // unconditionally.
-func (g *GBKState) AdvanceWatermark(w time.Time, emit func([]byte) error) error {
+func (g *GBKState) OnWatermark(w time.Time, emit func([]byte) error) error {
 	if !g.windowed {
 		return nil
 	}
 	g.wmGauge.SetTime(w)
-	return g.state.FireReady(w, func(p watermark.Pane[windowAcc]) error {
-		return g.emitPane(p, emit)
-	})
+	g.emit = emit
+	return g.state.FireReady(w, g.pane)
 }
 
 // Flush ends the input: in event-time mode every remaining pane fires
@@ -250,9 +251,8 @@ func (g *GBKState) Flush(emit func([]byte) error) error {
 		// The end-of-stream watermark arrived: the gauge reads as
 		// drained (zero lag) from here on.
 		g.wmGauge.SetTime(watermark.EndOfTime)
-		return g.state.FireAll(func(p watermark.Pane[windowAcc]) error {
-			return g.emitPane(p, emit)
-		})
+		g.emit = emit
+		return g.state.FireAll(g.pane)
 	}
 	for _, ks := range g.order {
 		if grp := g.groups[ks]; len(grp.values) > 0 {
@@ -274,7 +274,7 @@ func (g *GBKState) emitGlobal(grp *globalGroup, emit func([]byte) error) error {
 	return emit(wire)
 }
 
-func (g *GBKState) emitPane(p watermark.Pane[windowAcc], emit func([]byte) error) error {
+func (g *GBKState) emitPane(p watermark.Pane[windowAcc]) error {
 	wire, err := g.cfg.Output.Encode(beam.Grouped{
 		Key:    p.Acc.key,
 		Values: p.Acc.values,
@@ -285,7 +285,7 @@ func (g *GBKState) emitPane(p watermark.Pane[windowAcc], emit func([]byte) error
 	}
 	g.charge(g.cfg.Costs.CoderPerRecord)
 	g.cfg.Trace.Instant("panes/GroupByKey", "pane")
-	return emit(wire)
+	return g.emit(wire)
 }
 
 // EncodedKVKey extracts the key bytes from a KV-coded record without a

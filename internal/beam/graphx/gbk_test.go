@@ -109,7 +109,7 @@ func TestGBKStateWindowedFiresOnWatermarkThenFlush(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.AdvanceWatermark(et, emit); err != nil {
+		if err := g.OnWatermark(et, emit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestGBKStateBoundDelaysFiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen.Observe(gbkEpoch.Add(time.Second))
-	if err := g.AdvanceWatermark(gen.Current(), emit); err != nil {
+	if err := g.OnWatermark(gen.Current(), emit); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 0 {
@@ -159,7 +159,7 @@ func TestGBKStateBoundDelaysFiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen.Observe(gbkEpoch.Add(3 * time.Second))
-	if err := g.AdvanceWatermark(gen.Current(), emit); err != nil {
+	if err := g.OnWatermark(gen.Current(), emit); err != nil {
 		t.Fatal(err)
 	}
 	if got := decodePanes(t, fired); len(got) != 1 || got[0] != fmt.Sprintf("%d/u1=1", gbkEpoch.Unix()) {
@@ -185,7 +185,7 @@ func TestGBKStateGlobalTriggerAndFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := g.AdvanceWatermark(watermark.EndOfTime, emit); err != nil { // no-op in global mode
+	if err := g.OnWatermark(watermark.EndOfTime, emit); err != nil { // no-op in global mode
 		t.Fatal(err)
 	}
 	if err := g.Flush(emit); err != nil {
@@ -234,8 +234,9 @@ func TestEncodedKVKey(t *testing.T) {
 }
 
 // TestGBKStateIdleWatermarkDoesNotAllocate pins the hook Flink runs per
-// record: with no window due, AdvanceWatermark allocates nothing — its
-// pane adapter stays on the stack and the state does one comparison.
+// record: with no window due, OnWatermark allocates nothing — emit
+// arrives bound once, the pane callback was bound at construction, and
+// the state does one comparison.
 func TestGBKStateIdleWatermarkDoesNotAllocate(t *testing.T) {
 	g := windowedState(t, time.Second)
 	if err := g.Process(encodeKV(t, "u1", "5|a"), func([]byte) error { return nil }); err != nil {
@@ -244,11 +245,11 @@ func TestGBKStateIdleWatermarkDoesNotAllocate(t *testing.T) {
 	emit := func([]byte) error { return fmt.Errorf("pane fired below the watermark") }
 	w := gbkEpoch.Add(5 * time.Second)
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := g.AdvanceWatermark(w, emit); err != nil {
+		if err := g.OnWatermark(w, emit); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("idle AdvanceWatermark allocates %.0f times, want 0", allocs)
+		t.Errorf("idle OnWatermark allocates %.0f times, want 0", allocs)
 	}
 }

@@ -268,3 +268,17 @@ func (f *FusedFn) teardownRange(last int) {
 		}
 	}
 }
+
+// EncodeAll encodes a Create transform's values for the first operator
+// boundary.
+func EncodeAll(values []any, coder beam.Coder) ([][]byte, error) {
+	out := make([][]byte, len(values))
+	for i, v := range values {
+		b, err := coder.Encode(v)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = b
+	}
+	return out, nil
+}

@@ -39,6 +39,7 @@ import (
 	"beambench/internal/metrics"
 	"beambench/internal/obs"
 	"beambench/internal/simcost"
+	"beambench/internal/watermark"
 	"beambench/internal/yarn"
 )
 
@@ -278,7 +279,7 @@ func Translate(p *beam.Pipeline, cfg Config) (*apex.Application, apex.LaunchConf
 			if !ok {
 				return nil, zero, errors.New("apexrunner: malformed Create config")
 			}
-			encoded, err := encodeAll(values, s.Output().Coder())
+			encoded, err := graphx.EncodeAll(values, s.Output().Coder())
 			if err != nil {
 				return nil, zero, fmt.Errorf("apexrunner: Create: %w", err)
 			}
@@ -389,7 +390,11 @@ func Translate(p *beam.Pipeline, cfg Config) (*apex.Application, apex.LaunchConf
 				}
 				return nil, zero, fmt.Errorf("apexrunner: %w", err)
 			}
-			app.AddOperator(names[i], gbkOp(gbkCfg))
+			app.AddOperator(names[i], apex.KeyedOp(func(ctx apex.OperatorContext) (watermark.Operator, error) {
+				cfg := gbkCfg
+				cfg.Charge = ctx.Charge
+				return graphx.NewGBKState(cfg)
+			}))
 			// Keyed partitioning: the stream into the stateful operator
 			// hashes the encoded KV key, so equal keys meet in one
 			// partition.
@@ -561,52 +566,4 @@ func forwardOp(costs simcost.Costs) apex.GenericFactory {
 			return emit(tuple)
 		}, nil
 	})
-}
-
-// gbkOperator adapts the shared GroupByKey executable to the engine:
-// tuples accumulate per (window, key), panes fire as the runtime
-// delivers the combined min-over-senders watermark (WatermarkAware), and
-// the remaining state drains at end of stream (StreamFlusher).
-type gbkOperator struct {
-	state *graphx.GBKState
-}
-
-func (o *gbkOperator) Process(t []byte, emit func([]byte) error) error {
-	return o.state.Process(t, emit)
-}
-
-func (o *gbkOperator) OnWatermark(w time.Time, emit func([]byte) error) error {
-	return o.state.AdvanceWatermark(w, emit)
-}
-
-func (o *gbkOperator) EndStream(emit func([]byte) error) error {
-	return o.state.Flush(emit)
-}
-
-func (o *gbkOperator) Teardown() error { return nil }
-
-// gbkOp builds the keyed stateful GroupByKey operator, one shared-state
-// executable per partition.
-func gbkOp(cfg graphx.GBKConfig) apex.GenericFactory {
-	return func(ctx apex.OperatorContext) (apex.GenericOperator, error) {
-		cfg := cfg
-		cfg.Charge = ctx.Charge
-		state, err := graphx.NewGBKState(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("apexrunner: %w", err)
-		}
-		return &gbkOperator{state: state}, nil
-	}
-}
-
-func encodeAll(values []any, coder beam.Coder) ([][]byte, error) {
-	out := make([][]byte, len(values))
-	for i, v := range values {
-		b, err := coder.Encode(v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
-	}
-	return out, nil
 }

@@ -297,22 +297,7 @@ func runKafkaRead(ctx context.Context, t *beam.Transform, target int64) ([]windo
 	if !ok {
 		return nil, errors.New("malformed KafkaRead config")
 	}
-	parts, err := cfg.Broker.Partitions(cfg.Topic)
-	if err != nil {
-		return nil, err
-	}
-	consumer, err := cfg.Broker.NewConsumer(broker.ConsumerConfig{MaxPollRecords: 10_000})
-	if err != nil {
-		return nil, err
-	}
-	assigned := make([]int, parts)
-	for p := range parts {
-		if err := consumer.Assign(cfg.Topic, p, 0); err != nil {
-			return nil, err
-		}
-		assigned[p] = p
-	}
-	eoi, err := broker.NewEndOfInput(cfg.Broker, cfg.Topic, target, assigned)
+	consumer, eoi, err := broker.OpenShare(cfg.Broker, cfg.Topic, broker.ConsumerConfig{MaxPollRecords: 10_000}, 0, 1, target)
 	if err != nil {
 		return nil, err
 	}

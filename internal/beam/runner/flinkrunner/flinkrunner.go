@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"beambench/internal/beam"
 	"beambench/internal/beam/graphx"
@@ -165,7 +164,7 @@ func Translate(p *beam.Pipeline, cfg Config) (*flink.Environment, string, error)
 			if !ok {
 				return nil, "", fmt.Errorf("flinkrunner: malformed Create config")
 			}
-			encoded, err := encodeAll(values, t.Output.Coder())
+			encoded, err := graphx.EncodeAll(values, t.Output.Coder())
 			if err != nil {
 				return nil, "", fmt.Errorf("flinkrunner: Create: %w", err)
 			}
@@ -279,7 +278,11 @@ func Translate(p *beam.Pipeline, cfg Config) (*flink.Environment, string, error)
 				return nil, "", fmt.Errorf("flinkrunner: %w", err)
 			}
 			keyed := in.KeyBy(graphx.EncodedKVKey)
-			streams[t.Output.ID()] = keyed.ProcessWithWatermark("GroupByKey", gbkProcess(gbkCfg))
+			streams[t.Output.ID()] = keyed.KeyedProcess("GroupByKey", func(ctx flink.OperatorContext) (watermark.Operator, error) {
+				cfg := gbkCfg
+				cfg.Charge = ctx.Charge
+				return graphx.NewGBKState(cfg)
+			})
 
 		default:
 			return nil, "", fmt.Errorf("%w: %v (%s)", ErrUnsupported, s.Kind(), s.Name())
@@ -397,41 +400,4 @@ func windowAssigner(ws beam.WindowingStrategy, coder beam.Coder, costs simcost.C
 			return nil
 		}, nil
 	}
-}
-
-// gbkProcess runs the shared GroupByKey executable (graphx.GBKState) as
-// a keyed subtask under control-event watermarks: records accumulate,
-// panes fire as the runtime delivers the min-over-senders watermark, and
-// the remaining state drains at end of input.
-func gbkProcess(cfg graphx.GBKConfig) flink.WatermarkedProcessFactory {
-	return func(ctx flink.OperatorContext) (flink.ProcessFunc, flink.WatermarkFunc, flink.FlushFunc, error) {
-		cfg := cfg
-		cfg.Charge = ctx.Charge
-		state, err := graphx.NewGBKState(cfg)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("flinkrunner: %w", err)
-		}
-		process := func(rec []byte, out flink.Collector) error {
-			return state.Process(rec, out.Collect)
-		}
-		onWatermark := func(w time.Time, out flink.Collector) error {
-			return state.AdvanceWatermark(w, out.Collect)
-		}
-		flush := func(out flink.Collector) error {
-			return state.Flush(out.Collect)
-		}
-		return process, onWatermark, flush, nil
-	}
-}
-
-func encodeAll(values []any, coder beam.Coder) ([][]byte, error) {
-	out := make([][]byte, len(values))
-	for i, v := range values {
-		b, err := coder.Encode(v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
-	}
-	return out, nil
 }

@@ -32,6 +32,7 @@ import (
 	"beambench/internal/beam/graphx"
 	"beambench/internal/simcost"
 	"beambench/internal/spark"
+	"beambench/internal/watermark"
 )
 
 // Name is the runner's registry name.
@@ -203,7 +204,7 @@ func translate(p *beam.Pipeline, cfg Config) (*spark.StreamingContext, int, erro
 			if !ok {
 				return nil, 0, errors.New("sparkrunner: malformed Create config")
 			}
-			encoded, err := encodeAll(values, t.Output.Coder())
+			encoded, err := graphx.EncodeAll(values, t.Output.Coder())
 			if err != nil {
 				return nil, 0, fmt.Errorf("sparkrunner: Create: %w", err)
 			}
@@ -268,8 +269,8 @@ func translate(p *beam.Pipeline, cfg Config) (*spark.StreamingContext, int, erro
 			// assigner: per-partition watermark generators observe the
 			// element-derived event times, and the scheduler delivers
 			// their minimum to downstream stateful stages at every batch
-			// boundary (TaskContext.Watermark). Window assignment itself
-			// stays in the strategy metadata the GroupByKey consumes.
+			// boundary. Window assignment itself stays in the strategy
+			// metadata the GroupByKey consumes.
 			coder := t.Inputs[0].Coder()
 			streams[t.Output.ID()] = in.AssignTimestampsBounded(func(rec []byte) (time.Time, error) {
 				elem, err := coder.Decode(rec)
@@ -330,7 +331,11 @@ func translate(p *beam.Pipeline, cfg Config) (*spark.StreamingContext, int, erro
 				in = in.RepartitionByKey(cfg.Parallelism, graphx.EncodedKVKey)
 				opCount++
 			}
-			streams[t.Output.ID()] = in.Stateful("GroupByKey", gbkStage(gbkCfg))
+			streams[t.Output.ID()] = in.Stateful("GroupByKey", func(_ int, charge func(time.Duration)) (watermark.Operator, error) {
+				cfg := gbkCfg
+				cfg.Charge = charge
+				return graphx.NewGBKState(cfg)
+			})
 			multiPart[t.Output.ID()] = cfg.Parallelism > 1
 			opCount++
 
@@ -391,54 +396,6 @@ func parDoStage(name string, fn beam.DoFn, inCoder, outCoder beam.Coder, costs s
 	}
 }
 
-// gbkStage adapts the shared GroupByKey executable to the engine's
-// stateful micro-batch interface: one GBKState per stage partition,
-// persistent across batches, firing watermark-ready panes at every
-// batch boundary and the rest at end of input.
-func gbkStage(cfg graphx.GBKConfig) spark.StatefulFactory {
-	return func(int) (spark.StatefulProcessor, error) {
-		state, err := graphx.NewGBKState(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("sparkrunner: %w", err)
-		}
-		return &gbkProcessor{state: state}, nil
-	}
-}
-
-type gbkProcessor struct {
-	state *graphx.GBKState
-}
-
-// asEmit adapts a spark emit callback to the GBKState error-returning
-// signature. The callback arrives per Process call, so the adapter
-// cannot be hoisted without an identity the spark API does not
-// provide.
-func asEmit(emit func([]byte)) func([]byte) error {
-	//beamvet:allow hotalloc the void-to-error emit adapter re-wraps a per-call callback
-	return func(rec []byte) error {
-		emit(rec)
-		return nil
-	}
-}
-
-func (p *gbkProcessor) Process(task spark.TaskContext, rec []byte, emit func([]byte)) error {
-	p.state.Charge(task.Charge)
-	return p.state.Process(rec, asEmit(emit))
-}
-
-func (p *gbkProcessor) EndBatch(task spark.TaskContext, emit func([]byte)) error {
-	p.state.Charge(task.Charge)
-	// task.Watermark is the propagated lineage watermark: the minimum
-	// over the upstream WindowInto assigners, end-of-time on the final
-	// flush pass.
-	return p.state.AdvanceWatermark(task.Watermark, asEmit(emit))
-}
-
-func (p *gbkProcessor) EndStream(task spark.TaskContext, emit func([]byte)) error {
-	p.state.Charge(task.Charge)
-	return p.state.Flush(asEmit(emit))
-}
-
 // writeSerializer decodes final elements back to raw bytes for the sink.
 func writeSerializer(inCoder beam.Coder, costs simcost.Costs) func(spark.TaskContext) func([]byte, func([]byte)) {
 	return func(task spark.TaskContext) func([]byte, func([]byte)) {
@@ -454,16 +411,4 @@ func writeSerializer(inCoder beam.Coder, costs simcost.Costs) func(spark.TaskCon
 			}
 		}
 	}
-}
-
-func encodeAll(values []any, coder beam.Coder) ([][]byte, error) {
-	out := make([][]byte, len(values))
-	for i, v := range values {
-		b, err := coder.Encode(v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
-	}
-	return out, nil
 }

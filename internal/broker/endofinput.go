@@ -58,6 +58,40 @@ func NewEndOfInput(b *Broker, topic string, target int64, assigned []int) (*EndO
 	return e, nil
 }
 
+// OpenShare opens source index of n's share of a topic: a consumer
+// assigned, from offset 0, the partitions p with p%n == index — the
+// round-robin distribution of topic partitions over parallel source
+// instances — and the end-of-input tracker over exactly those
+// partitions. An empty share (more instances than partitions) has
+// nothing to read: see Empty.
+func OpenShare(b *Broker, topic string, cfg ConsumerConfig, index, n int, target int64) (*Consumer, *EndOfInput, error) {
+	parts, err := b.Partitions(topic)
+	if err != nil {
+		return nil, nil, err
+	}
+	consumer, err := b.NewConsumer(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	var assigned []int
+	for p := index; p < parts; p += n {
+		if err := consumer.Assign(topic, p, 0); err != nil {
+			return nil, nil, err
+		}
+		assigned = append(assigned, p)
+	}
+	eoi, err := NewEndOfInput(b, topic, target, assigned)
+	if err != nil {
+		return nil, nil, err
+	}
+	return consumer, eoi, nil
+}
+
+// Empty reports whether the source was assigned no partition. Such a
+// source is done at once: Complete would hold it until the whole topic
+// is, and with it the watermark of everything downstream.
+func (e *EndOfInput) Empty() bool { return len(e.assigned) == 0 }
+
 // Admit records one consumed record and reports whether the source may
 // emit it: false exactly for records appended after a snapshot bound.
 func (e *EndOfInput) Admit(r Record) bool {

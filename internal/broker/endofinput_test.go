@@ -155,3 +155,37 @@ func TestEndOfInputSnapshotMode(t *testing.T) {
 		t.Error("target mode reported a snapshot bound")
 	}
 }
+
+// TestOpenShareDistributesPartitionsRoundRobin checks the share every
+// parallel source instance opens: partitions p with p%n == index, each
+// from offset 0, an end-of-input tracker over exactly those, and an
+// empty share for instances beyond the partition count.
+func TestOpenShareDistributesPartitionsRoundRobin(t *testing.T) {
+	b := New()
+	mustCreate(t, b, "t", TopicConfig{Partitions: 3})
+	for p := range 3 {
+		eoiProduce(t, b, "t", p, 2)
+	}
+	for index, want := range [][]string{{"t/0", "t/2"}, {"t/1"}} {
+		c, e, err := OpenShare(b, "t", ConsumerConfig{}, index, 2, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Assignments(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("instance %d of 2 assigned %v, want %v", index, got, want)
+		}
+		if e.Empty() {
+			t.Errorf("instance %d of 2 reports an empty share", index)
+		}
+		idle := eoiDrain(t, c, e)
+		if done, err := e.Complete(c, idle); err != nil || !done {
+			t.Errorf("instance %d: Complete after draining its share = (%v, %v), want complete", index, done, err)
+		}
+	}
+	if _, e, err := OpenShare(b, "t", ConsumerConfig{}, 3, 4, 6); err != nil || !e.Empty() {
+		t.Errorf("instance 3 of 4 over 3 partitions: Empty = %v, err = %v; want an empty share", e != nil && e.Empty(), err)
+	}
+	if _, _, err := OpenShare(b, "missing", ConsumerConfig{}, 0, 1, 0); err == nil {
+		t.Error("unknown topic accepted")
+	}
+}

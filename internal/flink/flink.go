@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"beambench/internal/dag"
+	"beambench/internal/watermark"
 )
 
 // Collector receives records emitted by an operator. Collect reports an
@@ -66,27 +67,11 @@ type ProcessFunc func(record []byte, out Collector) error
 // state and cost accounting.
 type ProcessFactory func(ctx OperatorContext) (ProcessFunc, error)
 
-// FlushFunc emits an operator's buffered state when its input is
-// exhausted (bounded streams); stateful operators such as grouping use
-// it to release their final aggregates.
-type FlushFunc func(out Collector) error
-
-// FlushableProcessFactory builds a per-subtask process function together
-// with an end-of-input flush.
-type FlushableProcessFactory func(ctx OperatorContext) (ProcessFunc, FlushFunc, error)
-
-// WatermarkFunc handles an advanced watermark: a control event asserting
-// that no record with an earlier event time will arrive on this subtask's
-// input anymore. Stateful operators fire the panes the watermark released
-// into out; the runtime then forwards the watermark downstream.
-type WatermarkFunc func(w time.Time, out Collector) error
-
-// WatermarkedProcessFactory builds a per-subtask process function
-// together with a watermark handler (pane firing) and an end-of-input
-// flush. It is the construction hook for event-time stateful operators
-// under control-event watermark propagation: the runtime delivers the
-// min-over-inputs watermark of the subtask's senders to the handler.
-type WatermarkedProcessFactory func(ctx OperatorContext) (ProcessFunc, WatermarkFunc, FlushFunc, error)
+// KeyedFactory builds one keyed operator per subtask. It is the
+// construction hook for event-time stateful operators: any
+// watermark.Operator — the windowed aggregate, the join, the Beam
+// runner's GroupByKey — deploys through KeyedProcess.
+type KeyedFactory func(ctx OperatorContext) (watermark.Operator, error)
 
 // WatermarkEmitter lets a timestamp-assigning operator inject the
 // watermarks it generates into the dataflow as control events; the
@@ -146,8 +131,7 @@ type operator struct {
 
 	sourceFactory  SourceFactory
 	processFactory ProcessFactory
-	flushFactory   FlushableProcessFactory
-	wmFactory      WatermarkedProcessFactory
+	keyedFactory   KeyedFactory
 	assignFactory  AssignerFactory
 	sinkFactory    SinkFactory
 
@@ -314,13 +298,15 @@ func (ds *DataStream) Process(name string, factory ProcessFactory) *DataStream {
 }
 
 func (ds *DataStream) transform(name string, factory ProcessFactory) *DataStream {
-	op := &operator{
-		name:           name,
-		kind:           opTransform,
-		parallelism:    ds.env.parallelism,
-		chainable:      true,
-		processFactory: factory,
-	}
+	return ds.addTransform(&operator{name: name, processFactory: factory})
+}
+
+// addTransform appends a chainable transform at the job's default
+// parallelism, reading from ds.
+func (ds *DataStream) addTransform(op *operator) *DataStream {
+	op.kind = opTransform
+	op.parallelism = ds.env.parallelism
+	op.chainable = true
 	ds.env.addOp(op)
 	ds.connect(op)
 	return &DataStream{env: ds.env, op: op}
@@ -343,44 +329,27 @@ func (ds *DataStream) KeyBy(selector KeySelector) *DataStream {
 	return &DataStream{env: ds.env, op: ds.op, keyed: selector}
 }
 
-// ProcessWithFlush adds a stateful transformation whose flush function
-// runs when the bounded input is exhausted, before downstream operators
-// observe end of stream. Grouping and windowed aggregations build on it.
-func (ds *DataStream) ProcessWithFlush(name string, factory FlushableProcessFactory) *DataStream {
+// KeyedProcess deploys a keyed stateful operator on the engine's firing
+// clock, tuple at a time: every record goes to Process, and every
+// advance of the subtask's input watermark — the minimum over its
+// senders, recomputed per watermark control event, which a per-tuple
+// assigner upstream sends after every advancing record — goes to
+// OnWatermark before it moves on downstream, so released panes precede
+// the watermark that released them. Flush runs when the bounded input
+// is exhausted, before downstream operators observe end of stream.
+// Emissions enter the operator's output like any transform's: through
+// the rest of the chain, or across the next task boundary.
+//
+// Use after KeyBy, so every key's records reach one subtask, and with a
+// timestamp assigner upstream. Because the watermark is combined
+// min-over-senders before delivery, a keyed merge of several
+// concurrently active upstream subtasks needs no conservative fallback:
+// nothing fires before every sender's watermark has passed it.
+func (ds *DataStream) KeyedProcess(name string, factory KeyedFactory) *DataStream {
 	if factory == nil {
-		ds.env.fail(fmt.Errorf("flink: processWithFlush %q: nil factory", name))
+		ds.env.fail(fmt.Errorf("flink: keyedProcess %q: nil factory", name))
 	}
-	op := &operator{
-		name:         name,
-		kind:         opTransform,
-		parallelism:  ds.env.parallelism,
-		chainable:    true,
-		flushFactory: factory,
-	}
-	ds.env.addOp(op)
-	ds.connect(op)
-	return &DataStream{env: ds.env, op: op}
-}
-
-// ProcessWithWatermark adds an event-time stateful transformation driven
-// by propagated watermarks: the runtime delivers the min-over-inputs
-// watermark of the subtask's senders to the factory's watermark handler,
-// which fires the released panes; the flush runs at end of input like
-// ProcessWithFlush.
-func (ds *DataStream) ProcessWithWatermark(name string, factory WatermarkedProcessFactory) *DataStream {
-	if factory == nil {
-		ds.env.fail(fmt.Errorf("flink: processWithWatermark %q: nil factory", name))
-	}
-	op := &operator{
-		name:        name,
-		kind:        opTransform,
-		parallelism: ds.env.parallelism,
-		chainable:   true,
-		wmFactory:   factory,
-	}
-	ds.env.addOp(op)
-	ds.connect(op)
-	return &DataStream{env: ds.env, op: op}
+	return ds.addTransform(&operator{name: name, keyedFactory: factory})
 }
 
 // AssignTimestamps adds a timestamp-assignment operator: the factory's
@@ -391,16 +360,7 @@ func (ds *DataStream) AssignTimestamps(name string, factory AssignerFactory) *Da
 	if factory == nil {
 		ds.env.fail(fmt.Errorf("flink: assignTimestamps %q: nil factory", name))
 	}
-	op := &operator{
-		name:          name,
-		kind:          opTransform,
-		parallelism:   ds.env.parallelism,
-		chainable:     true,
-		assignFactory: factory,
-	}
-	ds.env.addOp(op)
-	ds.connect(op)
-	return &DataStream{env: ds.env, op: op}
+	return ds.addTransform(&operator{name: name, assignFactory: factory})
 }
 
 // DisableChaining prevents this stream's operator from being chained to

@@ -28,46 +28,28 @@ const _sourceIdlePoll = 20 * time.Millisecond
 // receives data and the others finish immediately.
 func KafkaSource(b *broker.Broker, topic string, target int64) SourceFactory {
 	return func(ctx OperatorContext) (Source, error) {
-		parts, err := b.Partitions(topic)
-		if err != nil {
-			return nil, fmt.Errorf("flink: kafka source: %w", err)
-		}
-		var assigned []int
-		for p := range parts {
-			if p%ctx.Parallelism() == ctx.SubtaskIndex() {
-				assigned = append(assigned, p)
-			}
-		}
-		return &kafkaSource{b: b, topic: topic, assigned: assigned, target: target}, nil
+		return &kafkaSource{b: b, topic: topic, target: target, ctx: ctx}, nil
 	}
 }
 
 type kafkaSource struct {
-	b        *broker.Broker
-	topic    string
-	assigned []int
-	target   int64
+	b      *broker.Broker
+	topic  string
+	target int64
+	ctx    OperatorContext
 }
 
-// Run consumes the assigned partitions via blocking polls until the
-// end-of-input contract (broker.EndOfInput) is met, emitting the record
-// values.
+// Run consumes the subtask's share of the partitions via blocking polls
+// until the end-of-input contract (broker.EndOfInput) is met, emitting
+// the record values.
 func (s *kafkaSource) Run(out Collector) error {
-	if len(s.assigned) == 0 {
+	consumer, eoi, err := broker.OpenShare(s.b, s.topic, broker.ConsumerConfig{},
+		s.ctx.SubtaskIndex(), s.ctx.Parallelism(), s.target)
+	if err != nil {
+		return fmt.Errorf("flink: kafka source: %w", err)
+	}
+	if eoi.Empty() {
 		return nil
-	}
-	eoi, err := broker.NewEndOfInput(s.b, s.topic, s.target, s.assigned)
-	if err != nil {
-		return fmt.Errorf("flink: kafka source: %w", err)
-	}
-	consumer, err := s.b.NewConsumer(broker.ConsumerConfig{})
-	if err != nil {
-		return fmt.Errorf("flink: kafka source: %w", err)
-	}
-	for _, p := range s.assigned {
-		if err := consumer.Assign(s.topic, p, 0); err != nil {
-			return fmt.Errorf("flink: kafka source: %w", err)
-		}
 	}
 	for {
 		recs, err := consumer.PollWait(_sourceIdlePoll)

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"beambench/internal/watermark"
 )
 
 func TestKeyByRoutesEqualKeysToOneSubtask(t *testing.T) {
@@ -91,22 +94,43 @@ func TestKeySelectorErrorFailsJob(t *testing.T) {
 	}
 }
 
-func TestProcessWithFlushEmitsStateAtEndOfInput(t *testing.T) {
+// bufferOperator is a keyed operator that holds every record back
+// until Flush, where render turns the buffer into emissions.
+type bufferOperator struct {
+	kept   [][]byte
+	render func(kept [][]byte) [][]byte
+}
+
+func (o *bufferOperator) Process(rec []byte, _ func([]byte) error) error {
+	o.kept = append(o.kept, rec)
+	return nil
+}
+
+func (o *bufferOperator) OnWatermark(time.Time, func([]byte) error) error { return nil }
+
+func (o *bufferOperator) Flush(emit func([]byte) error) error {
+	for _, rec := range o.render(o.kept) {
+		if err := emit(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func bufferFactory(render func(kept [][]byte) [][]byte) KeyedFactory {
+	return func(OperatorContext) (watermark.Operator, error) {
+		return &bufferOperator{render: render}, nil
+	}
+}
+
+func TestKeyedProcessFlushesAtEndOfInput(t *testing.T) {
 	cluster := newTestCluster(t, ClusterConfig{})
 	env := NewEnvironment(cluster)
 	sink := NewRecordCollector()
 	env.AddSource("src", SliceSource(records(25))).
-		ProcessWithFlush("count", func(ctx OperatorContext) (ProcessFunc, FlushFunc, error) {
-			count := 0
-			process := func(rec []byte, out Collector) error {
-				count++
-				return nil // buffer everything
-			}
-			flush := func(out Collector) error {
-				return out.Collect([]byte(fmt.Sprintf("count=%d", count)))
-			}
-			return process, flush, nil
-		}).
+		KeyedProcess("count", bufferFactory(func(kept [][]byte) [][]byte {
+			return [][]byte{[]byte(fmt.Sprintf("count=%d", len(kept)))}
+		})).
 		AddSink("sink", CollectSink(sink))
 	if _, err := env.Execute("flush"); err != nil {
 		t.Fatal(err)
@@ -117,29 +141,14 @@ func TestProcessWithFlushEmitsStateAtEndOfInput(t *testing.T) {
 	}
 }
 
-func TestProcessWithFlushChainedDownstreamSeesFlush(t *testing.T) {
-	// The flush of an upstream stateful operator must pass through the
+func TestKeyedProcessChainedDownstreamSeesFlush(t *testing.T) {
+	// The flush of an upstream keyed operator must pass through the
 	// downstream operators of the same chain.
 	cluster := newTestCluster(t, ClusterConfig{})
 	env := NewEnvironment(cluster)
 	sink := NewRecordCollector()
 	env.AddSource("src", SliceSource(records(5))).
-		ProcessWithFlush("buffer", func(ctx OperatorContext) (ProcessFunc, FlushFunc, error) {
-			var kept [][]byte
-			process := func(rec []byte, out Collector) error {
-				kept = append(kept, rec)
-				return nil
-			}
-			flush := func(out Collector) error {
-				for _, rec := range kept {
-					if err := out.Collect(rec); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			return process, flush, nil
-		}).
+		KeyedProcess("buffer", bufferFactory(func(kept [][]byte) [][]byte { return kept })).
 		Map("decorate", func(r []byte) []byte { return append([]byte("seen:"), r...) }).
 		AddSink("sink", CollectSink(sink))
 	if _, err := env.Execute("flush-chain"); err != nil {
@@ -155,14 +164,14 @@ func TestProcessWithFlushChainedDownstreamSeesFlush(t *testing.T) {
 	}
 }
 
-func TestProcessWithFlushNilFactory(t *testing.T) {
+func TestKeyedProcessNilFactory(t *testing.T) {
 	cluster := newTestCluster(t, ClusterConfig{})
 	env := NewEnvironment(cluster)
 	sink := NewRecordCollector()
 	env.AddSource("src", SliceSource(records(1))).
-		ProcessWithFlush("bad", nil).
+		KeyedProcess("bad", nil).
 		AddSink("sink", CollectSink(sink))
 	if _, err := env.Execute("nilflush"); err == nil {
-		t.Error("nil flush factory accepted")
+		t.Error("nil keyed factory accepted")
 	}
 }

@@ -423,13 +423,13 @@ func (env *Environment) runSubtask(rt *jobRuntime, rc *runtimeChain, idx int) er
 	})
 
 	// Compose the chain back to front, collecting sinks to close and
-	// stateful flushes to run at end of input. The watermark control path
-	// composes alongside: a stage's watermark hook fires released panes
-	// into the stage's own output collector before the watermark moves on
+	// keyed operators to flush at end of input. The watermark control
+	// path composes alongside: a keyed stage's OnWatermark fires released
+	// panes into the stage's own output before the watermark moves on
 	// downstream.
 	var (
-		sinks   []Sink
-		flushes []flushEntry
+		sinks []Sink
+		keyed []*keyedCollector
 	)
 	closeSinks := func() error {
 		var firstErr error
@@ -453,14 +453,12 @@ func (env *Environment) runSubtask(rt *jobRuntime, rc *runtimeChain, idx int) er
 		if st.sink != nil {
 			sinks = append(sinks, st.sink)
 		}
-		if st.flush.flush != nil {
-			flushes = append(flushes, st.flush)
-		}
 		current = st.col
-		if st.wm != nil {
-			hook, out, next := st.wm, st.wmOut, currentWM
+		if k := st.keyed; k != nil {
+			keyed = append(keyed, k)
+			next := currentWM
 			currentWM = func(w time.Time) error {
-				if err := hook(w, out); err != nil {
+				if err := k.onWatermark(w); err != nil {
 					return err
 				}
 				return next(w)
@@ -484,17 +482,12 @@ func (env *Environment) runSubtask(rt *jobRuntime, rc *runtimeChain, idx int) er
 		runErr = fmt.Errorf("flink: unknown operator kind %d", head.kind)
 	}
 
-	// On clean end of input, flush stateful operators upstream-first so
+	// On clean end of input, flush keyed operators upstream-first so
 	// their emissions flow through the downstream stages of the chain,
 	// then propagate the end-of-stream watermark so downstream tasks
 	// finalize this sender while other senders may still stream.
-	if runErr == nil {
-		for i := len(flushes) - 1; i >= 0; i-- {
-			if err := flushes[i].flush(flushes[i].out); err != nil {
-				runErr = err
-				break
-			}
-		}
+	for i := len(keyed) - 1; i >= 0 && runErr == nil; i-- {
+		runErr = keyed[i].flush()
 	}
 	if runErr == nil {
 		runErr = wmTail(watermark.EndOfTime)
@@ -541,21 +534,12 @@ func (env *Environment) consumeInput(rc *runtimeChain, idx int, c Collector, wm 
 	return nil
 }
 
-// flushEntry pairs a stateful operator's flush with the collector its
-// final emissions feed.
-type flushEntry struct {
-	flush FlushFunc
-	out   Collector
-}
-
 // builtStage is one operator instantiated for a subtask: the collector
-// feeding it, plus its sink, end-of-input flush and watermark hook.
+// feeding it, plus its sink or keyed operator when it is one.
 type builtStage struct {
 	col   Collector
 	sink  Sink
-	flush flushEntry
-	wm    WatermarkFunc
-	wmOut Collector
+	keyed *keyedCollector
 }
 
 // buildStage instantiates one operator of the chain for this subtask.
@@ -570,32 +554,19 @@ func (env *Environment) buildStage(op *operator, ctx *subtaskContext, next Colle
 	case opTransform:
 		counting := &countingCollector{next: next, metrics: op.metrics, marker: ctx.newMarker(op.name)}
 		switch {
-		case op.wmFactory != nil:
-			fn, wmFn, flush, err := op.wmFactory(ctx)
+		case op.keyedFactory != nil:
+			inst, err := op.keyedFactory(ctx)
 			if err != nil {
 				return builtStage{}, fmt.Errorf("flink: open operator %q: %w", op.name, err)
 			}
-			return builtStage{
-				col:   &processCollector{fn: fn, out: counting, metrics: op.metrics},
-				flush: flushEntry{flush: flush, out: counting},
-				wm:    wmFn,
-				wmOut: counting,
-			}, nil
+			k := &keyedCollector{op: inst, emit: counting.Collect, metrics: op.metrics}
+			return builtStage{col: k, keyed: k}, nil
 		case op.assignFactory != nil:
 			fn, err := op.assignFactory(ctx, emitterFunc(nextWM))
 			if err != nil {
 				return builtStage{}, fmt.Errorf("flink: open operator %q: %w", op.name, err)
 			}
 			return builtStage{col: &processCollector{fn: fn, out: counting, metrics: op.metrics}}, nil
-		case op.flushFactory != nil:
-			fn, flush, err := op.flushFactory(ctx)
-			if err != nil {
-				return builtStage{}, fmt.Errorf("flink: open operator %q: %w", op.name, err)
-			}
-			return builtStage{
-				col:   &processCollector{fn: fn, out: counting, metrics: op.metrics},
-				flush: flushEntry{flush: flush, out: counting},
-			}, nil
 		default:
 			fn, err := op.processFactory(ctx)
 			if err != nil {
@@ -647,6 +618,25 @@ func (c *processCollector) Collect(rec []byte) error {
 	c.metrics.incIn()
 	return c.fn(rec, c.out)
 }
+
+// keyedCollector feeds a keyed operator. emit is the stage's output
+// collector, bound once per subtask: the same value reaches every
+// Process, OnWatermark and Flush call, so the operator can park it
+// without a per-record allocation.
+type keyedCollector struct {
+	op      watermark.Operator
+	emit    func([]byte) error
+	metrics *OperatorMetrics
+}
+
+func (c *keyedCollector) Collect(rec []byte) error {
+	c.metrics.incIn()
+	return c.op.Process(rec, c.emit)
+}
+
+func (c *keyedCollector) onWatermark(w time.Time) error { return c.op.OnWatermark(w, c.emit) }
+
+func (c *keyedCollector) flush() error { return c.op.Flush(c.emit) }
 
 // sinkCollector delivers records to a sink instance.
 type sinkCollector struct {

@@ -69,11 +69,8 @@ func NativeFlink(env *flink.Environment, w Workload, q Query) error {
 		out = src.
 			AssignTimestampsBounded("Timestamps/Watermarks", EventTime, WindowedCountBound).
 			KeyBy(UserKey).
-			TumblingCountWindow("WindowedCount", flink.WindowConfig{
-				Size:      WindowedCountWindow,
-				EventTime: EventTime,
-				Key:       UserKey,
-				Format:    FormatWindowedCount,
+			KeyedProcess("WindowedCount", func(flink.OperatorContext) (watermark.Operator, error) {
+				return watermark.NewAggOperator(windowedCountAgg())
 			})
 	case SlidingSum:
 		// Same dataflow as WindowedCount with an overlapping window
@@ -81,13 +78,8 @@ func NativeFlink(env *flink.Environment, w Workload, q Query) error {
 		out = src.
 			AssignTimestampsBounded("Timestamps/Watermarks", EventTime, SlidingSumBound).
 			KeyBy(UserKey).
-			AggWindow("SlidingSum", flink.WindowConfig{
-				Assigner:  slidingSumAssigner(),
-				Agg:       watermark.AggSum,
-				Value:     ItemRank,
-				EventTime: EventTime,
-				Key:       UserKey,
-				Format:    FormatSlidingSum,
+			KeyedProcess("SlidingSum", func(flink.OperatorContext) (watermark.Operator, error) {
+				return watermark.NewAggOperator(slidingSumAgg())
 			})
 	case Join:
 		// Two branches over the same topic, each tagged and timestamped
@@ -106,25 +98,14 @@ func NativeFlink(env *flink.Environment, w Workload, q Query) error {
 			AssignTimestampsBounded("Timestamps/Watermarks B", TaggedEventTime, JoinBound)
 		out = a.Union("Union", b).
 			KeyBy(TaggedUserKey).
-			ProcessWithWatermark("Join", joinFlinkFactory())
+			KeyedProcess("Join", func(flink.OperatorContext) (watermark.Operator, error) {
+				return NewJoinState(), nil
+			})
 	default:
 		return fmt.Errorf("queries: unknown query %d", q)
 	}
 	out.AddSink("Unnamed", flink.KafkaSink(w.Broker, w.OutputTopic, w.Producer))
 	return nil
-}
-
-// joinFlinkFactory deploys the shared join executable behind Flink's
-// watermark-aware process hook: one state instance per subtask, panes
-// firing off the propagated (min-over-senders) watermark.
-func joinFlinkFactory() flink.WatermarkedProcessFactory {
-	return func(flink.OperatorContext) (flink.ProcessFunc, flink.WatermarkFunc, flink.FlushFunc, error) {
-		s := NewJoinState()
-		process := func(rec []byte, _ flink.Collector) error { return s.Add(rec) }
-		onWatermark := func(wm time.Time, out flink.Collector) error { return s.Fire(wm, out.Collect) }
-		flush := func(out flink.Collector) error { return s.Flush(out.Collect) }
-		return process, onWatermark, flush, nil
-	}
 }
 
 // NativeSpark builds the query as a native Spark Streaming application
@@ -159,18 +140,14 @@ func NativeSpark(ssc *spark.StreamingContext, w Workload, q Query) error {
 		// per-stage throughput report unambiguous).
 		out = src.
 			AssignTimestampsBounded(EventTime, WindowedCountBound).
-			ReduceByKeyAndWindow("ReduceByKeyAndWindow",
-				WindowedCountWindow, EventTime, UserKey, FormatWindowedCount)
+			Stateful("ReduceByKeyAndWindow", func(int, func(time.Duration)) (watermark.Operator, error) {
+				return watermark.NewAggOperator(windowedCountAgg())
+			})
 	case SlidingSum:
 		out = src.
 			AssignTimestampsBounded(EventTime, SlidingSumBound).
-			AggByKeyAndWindow("AggByKeyAndWindow", spark.WindowConfig{
-				Assigner:  slidingSumAssigner(),
-				Agg:       watermark.AggSum,
-				Value:     ItemRank,
-				EventTime: EventTime,
-				Key:       UserKey,
-				Format:    FormatSlidingSum,
+			Stateful("AggByKeyAndWindow", func(int, func(time.Duration)) (watermark.Operator, error) {
+				return watermark.NewAggOperator(slidingSumAgg())
 			})
 	case Join:
 		// Each branch tags and timestamps before the union; the union
@@ -188,33 +165,14 @@ func NativeSpark(ssc *spark.StreamingContext, w Workload, q Query) error {
 			AssignTimestampsBounded(TaggedEventTime, JoinBound)
 		out = a.Union(b).
 			RepartitionByKey(ssc.DefaultParallelism(), TaggedUserKey).
-			Stateful("Join", func(int) (spark.StatefulProcessor, error) {
-				return &joinSparkProcessor{state: NewJoinState()}, nil
+			Stateful("Join", func(int, func(time.Duration)) (watermark.Operator, error) {
+				return NewJoinState(), nil
 			})
 	default:
 		return fmt.Errorf("queries: unknown query %d", q)
 	}
 	out.SaveToKafka(q.String(), w.Broker, w.OutputTopic, w.Producer)
 	return nil
-}
-
-// joinSparkProcessor deploys the shared join executable behind Spark's
-// keyed micro-batch state hook: panes fire at batch boundaries off the
-// propagated lineage watermark and flush when the input drains.
-type joinSparkProcessor struct {
-	state *JoinState
-}
-
-func (p *joinSparkProcessor) Process(_ spark.TaskContext, rec []byte, _ func([]byte)) error {
-	return p.state.Add(rec)
-}
-
-func (p *joinSparkProcessor) EndBatch(task spark.TaskContext, emit func([]byte)) error {
-	return p.state.Fire(task.Watermark, func(rec []byte) error { emit(rec); return nil })
-}
-
-func (p *joinSparkProcessor) EndStream(_ spark.TaskContext, emit func([]byte)) error {
-	return p.state.Flush(func(rec []byte) error { emit(rec); return nil })
 }
 
 // NativeApex builds the query as a native Apex application DAG:
@@ -240,16 +198,12 @@ func NativeApex(w Workload, q Query) (*apex.Application, error) {
 	case Grep:
 		app.AddOperator("grep", apex.FilterOp(GrepMatch))
 	case WindowedCount:
-		app.AddOperator("windowedCount", apex.TumblingCountWindow(
-			WindowedCountWindow, EventTime, UserKey, FormatWindowedCount))
+		app.AddOperator("windowedCount", apex.KeyedOp(func(apex.OperatorContext) (watermark.Operator, error) {
+			return watermark.NewAggOperator(windowedCountAgg())
+		}))
 	case SlidingSum:
-		app.AddOperator("slidingSum", apex.AggWindowOp(apex.WindowConfig{
-			Assigner:  slidingSumAssigner(),
-			Agg:       watermark.AggSum,
-			Value:     ItemRank,
-			EventTime: EventTime,
-			Key:       UserKey,
-			Format:    FormatSlidingSum,
+		app.AddOperator("slidingSum", apex.KeyedOp(func(apex.OperatorContext) (watermark.Operator, error) {
+			return watermark.NewAggOperator(slidingSumAgg())
 		}))
 	default:
 		return nil, fmt.Errorf("queries: unknown query %d", q)
@@ -298,7 +252,9 @@ func nativeApexJoin(w Workload) *apex.Application {
 	}))
 	app.AddOperator("assignTimestampsA", apex.AssignTimestamps(TaggedEventTime, JoinBound))
 	app.AddOperator("assignTimestampsB", apex.AssignTimestamps(TaggedEventTime, JoinBound))
-	app.AddOperator("join", joinApexFactory())
+	app.AddOperator("join", apex.KeyedOp(func(apex.OperatorContext) (watermark.Operator, error) {
+		return NewJoinState(), nil
+	}))
 	app.AddOutput("kafkaOutput", apex.KafkaOutput(w.Broker, w.OutputTopic, w.Producer))
 	// The output topic has one partition, so the sink is pinned to one
 	// container — which also keeps the eight-operator DAG inside the
@@ -315,34 +271,6 @@ func nativeApexJoin(w Workload) *apex.Application {
 	app.AddStream("output", "join", "kafkaOutput")
 	return app
 }
-
-// joinApexFactory deploys the shared join executable behind the engine's
-// watermark-aware operator hooks.
-func joinApexFactory() apex.GenericFactory {
-	return func(apex.OperatorContext) (apex.GenericOperator, error) {
-		return &joinApexOperator{state: NewJoinState()}, nil
-	}
-}
-
-type joinApexOperator struct {
-	state *JoinState
-}
-
-func (o *joinApexOperator) Process(t []byte, _ func([]byte) error) error {
-	return o.state.Add(t)
-}
-
-// OnWatermark implements apex.WatermarkAware.
-func (o *joinApexOperator) OnWatermark(w time.Time, emit func([]byte) error) error {
-	return o.state.Fire(w, emit)
-}
-
-// EndStream implements apex.StreamFlusher.
-func (o *joinApexOperator) EndStream(emit func([]byte) error) error {
-	return o.state.Flush(emit)
-}
-
-func (o *joinApexOperator) Teardown() error { return nil }
 
 // BeamPipeline builds the query once against the abstraction layer; the
 // same pipeline object runs on every runner. The shape matches the
@@ -396,7 +324,7 @@ func BeamPipeline(w Workload, q Query) (*beam.Pipeline, error) {
 		keyed := beam.WithKeys(p, "WithKeys", userKeyOf(UserKey), windowed)
 		grouped := beam.GroupByKey(p, keyed)
 		out = beam.MapElements(p, "WindowedCount", groupedPaneFn(func(start time.Time, user string, values []any) (any, error) {
-			return FormatWindowedCount(start, []byte(user), int64(len(values))), nil
+			return FormatPane(start, []byte(user), int64(len(values))), nil
 		}), grouped, beam.WithCoder(beam.BytesCoder{}))
 	case SlidingSum:
 		// The sliding assigner replicates each record into every
@@ -421,7 +349,7 @@ func BeamPipeline(w Workload, q Query) (*beam.Pipeline, error) {
 				}
 				sum += rank
 			}
-			return FormatSlidingSum(start, []byte(user), sum), nil
+			return FormatPane(start, []byte(user), sum), nil
 		}), grouped, beam.WithCoder(beam.BytesCoder{}))
 	case Join:
 		// Two reads of the topic, tagged per branch and windowed BEFORE

@@ -122,8 +122,9 @@ func TestEventTimeDoesNotAllocate(t *testing.T) {
 }
 
 // TestJoinStateIdleFireDoesNotAllocate pins the watermark hook Flink
-// runs per record: with nothing due, Fire neither allocates its pane
-// adapter nor touches the open windows.
+// runs per record: with nothing due, Fire (OnWatermark) allocates
+// nothing — the pane callback was bound at construction — and does not
+// touch the open windows.
 func TestJoinStateIdleFireDoesNotAllocate(t *testing.T) {
 	s := NewJoinState()
 	rec := TagSideA([]byte("142\tweather\t2006-03-01 00:00:01\t3\thttp://example.com"))

@@ -43,6 +43,7 @@ func ItemRank(rec []byte) (int64, error) {
 	if len(col) == 0 {
 		return 0, nil
 	}
+	//beamvet:allow hotalloc the string does not outlive ParseInt, so a rank column (a few digits) converts on the stack
 	v, err := strconv.ParseInt(string(col), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("queries: item rank: %w", err)
@@ -56,17 +57,17 @@ func HasItemRank(rec []byte) bool {
 	return len(nthColumn(rec, 3)) > 0
 }
 
-// FormatSlidingSum renders one output record of the SlidingSum query:
-// "<window-start-unix>\t<user-id>\t<sum>". Window starts are
-// slide-aligned, so the triple is unique per pane.
-func FormatSlidingSum(windowStart time.Time, user []byte, sum int64) []byte {
-	out := make([]byte, 0, 24+len(user))
-	out = strconv.AppendInt(out, windowStart.Unix(), 10)
-	out = append(out, '\t')
-	out = append(out, user...)
-	out = append(out, '\t')
-	out = strconv.AppendInt(out, sum, 10)
-	return out
+// slidingSumAgg is the query's keyed operator — the part of the native
+// pipelines that is the same on every engine.
+func slidingSumAgg() watermark.AggConfig {
+	return watermark.AggConfig{
+		Assigner:  slidingSumAssigner(),
+		Agg:       watermark.AggSum,
+		Value:     ItemRank,
+		EventTime: EventTime,
+		Key:       UserKey,
+		Format:    FormatPane,
+	}
 }
 
 // slidingSumReference builds the expected SlidingSum output from input
@@ -74,7 +75,7 @@ func FormatSlidingSum(windowStart time.Time, user []byte, sum int64) []byte {
 // order is the deterministic firing order (windows ascending by
 // (end, start), keys first-seen within a window).
 func slidingSumReference() *paneReference {
-	return newPaneReference(slidingSumAssigner(), watermark.AggSum, ItemRank, FormatSlidingSum)
+	return newPaneReference(slidingSumAssigner(), watermark.AggSum, ItemRank, FormatPane)
 }
 
 // ExpectedSlidingSums computes the SlidingSum output payloads a dataset

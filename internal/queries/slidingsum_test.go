@@ -34,15 +34,6 @@ func TestItemRankColumn(t *testing.T) {
 	}
 }
 
-func TestFormatSlidingSum(t *testing.T) {
-	start := time.Date(2006, time.March, 1, 0, 0, 4, 0, time.UTC)
-	got := string(FormatSlidingSum(start, []byte("123456"), 9))
-	want := fmt.Sprintf("%d\t123456\t9", start.Unix())
-	if got != want {
-		t.Errorf("FormatSlidingSum = %q, want %q", got, want)
-	}
-}
-
 // TestExpectedSlidingSumsOverlap pins the overlap semantics: each
 // record contributes to the two sliding windows containing its event
 // second, and sums accumulate per (window, user).

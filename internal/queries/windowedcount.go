@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"beambench/internal/aol"
+	"beambench/internal/watermark"
 )
 
 // WindowedCount parameters: per-user-ID counts over 1-second event-time
@@ -42,6 +43,7 @@ func EventTime(rec []byte) (time.Time, error) {
 	if t, ok := parseQueryTime(rest); ok {
 		return t, nil
 	}
+	//beamvet:allow hotalloc the fallback runs only for columns parseQueryTime rejects, which the dataset never produces
 	t, err := time.Parse(eventTimeLayout, string(aol.FirstColumn(rest)))
 	if err != nil {
 		return time.Time{}, fmt.Errorf("queries: query time: %w", err)
@@ -65,18 +67,9 @@ func parseQueryTime(rest []byte) (time.Time, bool) {
 	if col[4] != '-' || col[7] != '-' || col[10] != ' ' || col[13] != ':' || col[16] != ':' {
 		return time.Time{}, false
 	}
-	// two reads the two-digit field at i; a non-digit yields a value
-	// above every field's range.
-	two := func(i int) int {
-		hi, lo := col[i]-'0', col[i+1]-'0'
-		if hi > 9 || lo > 9 {
-			return 100
-		}
-		return int(hi)*10 + int(lo)
-	}
-	century, year := two(0), two(2)
-	month, day := two(5), two(8)
-	hour, minute, sec := two(11), two(14), two(17)
+	century, year := twoDigits(col, 0), twoDigits(col, 2)
+	month, day := twoDigits(col, 5), twoDigits(col, 8)
+	hour, minute, sec := twoDigits(col, 11), twoDigits(col, 14), twoDigits(col, 17)
 	if century > 99 || year > 99 || month < 1 || month > 12 || hour > 23 || minute > 59 || sec > 59 {
 		return time.Time{}, false
 	}
@@ -85,6 +78,16 @@ func parseQueryTime(rest []byte) (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return time.Date(year, time.Month(month), day, hour, minute, sec, 0, time.UTC), true
+}
+
+// twoDigits reads the two-digit field at col[i:i+2]; a non-digit yields
+// a value above every field's range.
+func twoDigits(col []byte, i int) int {
+	hi, lo := col[i]-'0', col[i+1]-'0'
+	if hi > 9 || lo > 9 {
+		return 100
+	}
+	return int(hi)*10 + int(lo)
 }
 
 // daysIn returns the length of the month in the proleptic Gregorian
@@ -143,17 +146,35 @@ func UserKey(rec []byte) ([]byte, error) {
 	return aol.FirstColumn(rec), nil
 }
 
-// FormatWindowedCount renders one output record of the WindowedCount
-// query: "<window-start-unix>\t<user-id>\t<count>". The triple is
-// unique per pane, so outputs are pairable and the sorted output set is
-// byte-identical across systems.
-func FormatWindowedCount(windowStart time.Time, user []byte, count int64) []byte {
+// windowedCountAgg is the query's keyed operator — the part of the
+// native pipelines that is the same on every engine.
+func windowedCountAgg() watermark.AggConfig {
+	a, err := watermark.NewTumblingAssigner(WindowedCountWindow)
+	if err != nil {
+		panic(err) // constant window size; cannot fail
+	}
+	return watermark.AggConfig{
+		Assigner:  a,
+		Agg:       watermark.AggCount,
+		EventTime: EventTime,
+		Key:       UserKey,
+		Format:    FormatPane,
+	}
+}
+
+// FormatPane renders one output record of the windowed aggregate
+// queries (WindowedCount's count, SlidingSum's sum):
+// "<window-start-unix>\t<user-id>\t<value>". Window starts are aligned
+// to the window size or slide, so the triple is unique per pane:
+// outputs are pairable and the sorted output set is byte-identical
+// across systems.
+func FormatPane(windowStart time.Time, user []byte, value int64) []byte {
 	out := make([]byte, 0, 24+len(user))
 	out = strconv.AppendInt(out, windowStart.Unix(), 10)
 	out = append(out, '\t')
 	out = append(out, user...)
 	out = append(out, '\t')
-	out = strconv.AppendInt(out, count, 10)
+	out = strconv.AppendInt(out, value, 10)
 	return out
 }
 
@@ -224,7 +245,7 @@ func (a *windowedAggregator) groups() []windowedGroup {
 		for _, u := range users {
 			e := byUser[u]
 			out = append(out, windowedGroup{
-				payload:   FormatWindowedCount(time.Unix(start, 0).UTC(), []byte(u), e.count),
+				payload:   FormatPane(time.Unix(start, 0).UTC(), []byte(u), e.count),
 				lastInput: e.lastInput,
 			})
 		}
@@ -241,16 +262,5 @@ func sortInt64s(v []int64) {
 // fires in on ordered input. Tests and the result calculator use it as
 // the reference.
 func ExpectedWindowedCounts(records [][]byte) ([][]byte, error) {
-	agg := newWindowedAggregator()
-	for i, rec := range records {
-		if err := agg.add(rec, i); err != nil {
-			return nil, err
-		}
-	}
-	groups := agg.groups()
-	out := make([][]byte, len(groups))
-	for i, g := range groups {
-		out[i] = g.payload
-	}
-	return out, nil
+	return expectedPayloads(newWindowedAggregator(), records)
 }

@@ -61,12 +61,19 @@ func mustEventTime(t *testing.T, rec []byte) time.Time {
 	return et
 }
 
-func TestFormatWindowedCount(t *testing.T) {
-	start := time.Date(2006, time.March, 1, 0, 0, 42, 0, time.UTC)
-	got := string(FormatWindowedCount(start, []byte("123456"), 7))
-	want := fmt.Sprintf("%d\t123456\t7", start.Unix())
-	if got != want {
-		t.Errorf("FormatWindowedCount = %q, want %q", got, want)
+// TestFormatPane covers both windowed aggregate queries: a count and a
+// sum render through the one formatter.
+func TestFormatPane(t *testing.T) {
+	for _, tc := range []struct {
+		sec   int
+		value int64
+	}{{42, 7}, {4, 9}} {
+		start := time.Date(2006, time.March, 1, 0, 0, tc.sec, 0, time.UTC)
+		got := string(FormatPane(start, []byte("123456"), tc.value))
+		want := fmt.Sprintf("%d\t123456\t%d", start.Unix(), tc.value)
+		if got != want {
+			t.Errorf("FormatPane = %q, want %q", got, want)
+		}
 	}
 }
 

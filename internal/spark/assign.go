@@ -8,20 +8,16 @@ import (
 	"beambench/internal/watermark"
 )
 
-// EventTimeFn extracts a record's event timestamp from the record
-// itself, e.g. a time column of the payload.
-type EventTimeFn func(rec []byte) (time.Time, error)
-
 // AssignTimestampsBounded adds the timestamp/watermark assigner stage:
 // each partition's records feed a persistent watermark.Generator with
 // the given out-of-orderness bound, so the stage's watermark — the
 // minimum over its partitions — tracks the event-time progress of
 // everything admitted so far. Records pass through unchanged; the
 // watermark travels out of band, delivered to downstream stateful
-// stages in TaskContext.Watermark at each batch boundary (the
-// micro-batch engine's control-event channel). Place it where event
-// time enters the lineage, right after the input.
-func (ds *DStream) AssignTimestampsBounded(eventTime EventTimeFn, bound time.Duration) *DStream {
+// stages (Stateful) at each batch boundary — the micro-batch engine's
+// control-event channel. Place it where event time enters the lineage,
+// right after the input.
+func (ds *DStream) AssignTimestampsBounded(eventTime func(rec []byte) (time.Time, error), bound time.Duration) *DStream {
 	if eventTime == nil {
 		ds.ssc.fail(fmt.Errorf("spark: assign timestamps: nil event-time fn"))
 		return ds
@@ -37,9 +33,9 @@ func (ds *DStream) AssignTimestampsBounded(eventTime EventTimeFn, bound time.Dur
 
 // assignNode is the persistent run-time state of one assign stage: one
 // watermark generator per partition, surviving across micro-batches
-// like a statefulNode's processors.
+// like a statefulNode's instances.
 type assignNode struct {
-	eventTime EventTimeFn
+	eventTime func(rec []byte) (time.Time, error)
 	bound     time.Duration
 
 	mu   sync.Mutex

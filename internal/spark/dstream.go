@@ -148,12 +148,6 @@ type TaskContext struct {
 	Partition int
 	// Charge adds simulated per-record cost to the running task.
 	Charge func(d time.Duration)
-	// Watermark is the event-time watermark of the stage's input lineage
-	// at the current batch boundary — the minimum over the upstream
-	// timestamp assigners (AssignTimestampsBounded), end-of-time on the
-	// final flush pass. Stateful stages fire panes off it at EndBatch.
-	// The zero time means no upstream assigner has claimed progress.
-	Watermark time.Time
 }
 
 // DStream is a discretized stream: a lineage of transformations applied

@@ -270,7 +270,7 @@ func (ssc *StreamingContext) runBatch(batchID int64, batch map[*DStream][][][]by
 }
 
 // runFlushBatch runs the end-of-input pass: stateful stages emit their
-// remaining state (EndStream) and the emissions flow through the
+// remaining state (Flush) and the emissions flow through the
 // downstream lineage and output operations like a regular batch.
 func (ssc *StreamingContext) runFlushBatch(batchID int64, driver *simcost.Meter) error {
 	span := ssc.cluster.cfg.Trace.Span("spark/driver", "flush-batch")
@@ -350,7 +350,7 @@ func (ssc *StreamingContext) compute(ds *DStream, batchID int64, batch map[*DStr
 			// record about to enter the stateful stage.
 			wm = lineageWatermark(ds)
 		}
-		return ssc.runStatefulStage(ds, batchID, parts, flush, wm)
+		return ssc.runStatefulStage(ds, parts, flush, wm)
 	case stageNarrow:
 		var chain []narrowStage
 		top := ds
@@ -416,18 +416,17 @@ func (ssc *StreamingContext) runAssignStage(st *DStream, parts [][][]byte) ([][]
 }
 
 // runStatefulStage delivers one batch's partitions into the stage's
-// persistent processors (creating them on first use) and collects their
-// emissions; window firing happens at the batch boundary (EndBatch),
-// driven by the lineage watermark delivered in TaskContext.Watermark.
-// On the flush pass it instead drains the processors' remaining state
-// (EndStream) under the end-of-time watermark.
-func (ssc *StreamingContext) runStatefulStage(st *DStream, batchID int64, parts [][][]byte, flush bool, wm time.Time) ([][][]byte, error) {
+// persistent operator instances (creating them on first use) and
+// collects their emissions; firing happens at the batch boundary, off
+// the lineage watermark wm. On the flush pass it instead drains the
+// instances' remaining state.
+func (ssc *StreamingContext) runStatefulStage(st *DStream, parts [][][]byte, flush bool, wm time.Time) ([][][]byte, error) {
 	var (
-		instances []StatefulProcessor
+		instances []*statefulInstance
 		err       error
 	)
 	if flush {
-		// Only already-created processors can hold state to drain.
+		// Only already-created instances can hold state to drain.
 		instances = st.state.current()
 		if instances == nil {
 			return nil, nil
@@ -454,23 +453,22 @@ func (ssc *StreamingContext) runStatefulStage(st *DStream, batchID int64, parts 
 		go func(p int) {
 			defer wg.Done()
 			errs[p] = ssc.cluster.runTask(func(meter *simcost.Meter) error {
-				task := TaskContext{BatchID: batchID, Partition: p, Charge: meter.Charge, Watermark: wm}
 				var result [][]byte
-				emit := func(rec []byte) { result = append(result, rec) }
+				emit := func(rec []byte) error {
+					result = append(result, rec)
+					return nil
+				}
+				// emit and the repointed charge are bound once per task.
 				inst := instances[p]
+				inst.meter = meter
+				var err error
 				if flush {
-					if err := inst.EndStream(task, emit); err != nil {
-						return err
-					}
+					err = inst.op.Flush(emit)
 				} else {
-					for _, rec := range parts[p] {
-						if err := inst.Process(task, rec, emit); err != nil {
-							return err
-						}
-					}
-					if err := inst.EndBatch(task, emit); err != nil {
-						return err
-					}
+					err = inst.deliver(parts[p], wm, emit)
+				}
+				if err != nil {
+					return err
 				}
 				handle.Mark(int64(len(result)))
 				out[p] = result

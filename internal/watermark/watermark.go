@@ -38,9 +38,23 @@
 // accumulates per-(window, key) state under any Assigner and fires
 // panes in a deterministic order once the watermark passes a window's
 // end; NumAcc with an AggKind (agg.go) provides the numeric aggregates
-// (count, sum, min, max, avg) the windowed queries compose with it. The
-// engines' windowed operators and the Beam runners' GroupByKey
-// translation are thin wrappers around these.
+// (count, sum, min, max, avg) the windowed queries compose with it.
+//
+// Operator (operator.go) is the contract every keyed stateful operator
+// is written against — Process(rec, emit), OnWatermark(w, emit),
+// Flush(emit), all over []byte — so that window semantics exist once
+// and an engine contributes only its firing clock: flink.KeyedProcess,
+// apex.KeyedOp and spark.Stateful each deploy any Operator and decide
+// nothing but when the three calls happen. AggOperator is the windowed
+// aggregate behind the native windowed queries: one AggConfig whose
+// window family is its Assigner, one validation, one record body over
+// WindowState.Panes, one pane encoder over NumAcc.Result;
+// queries.JoinState and graphx.GBKState are the other two
+// implementations. Lifetime rule for emit: the engine binds it once
+// per operator instance and passes the same value on every call; it is
+// valid only until that call returns. An operator may park it in a
+// field for the call's pane callbacks — which, the value being stable,
+// allocates nothing — and must not invoke it afterwards.
 //
 // WindowState is the keyed record path of every stateful cell, so its
 // costs are kept to what the work is worth:
@@ -66,7 +80,8 @@
 //   - Late records. A record behind the watermark is not dropped: it
 //     re-opens its (already fired) window, which fires a second,
 //     partial pane on the next FireReady. Every engine shares that
-//     behaviour; an explicit lateness policy is future work.
+//     behaviour because every operator sits on this state; an explicit
+//     allowed-lateness policy belongs here and nowhere else.
 package watermark
 
 import (
