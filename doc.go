@@ -73,13 +73,15 @@
 //
 // All runners translate from the execution plan produced by the shared
 // optimizer (internal/beam/graphx), which lowers a validated pipeline
-// into stages and — when fusion is on — collapses maximal ParDo chains
-// into single executable stages, stopping at GroupByKey, Flatten,
-// WindowInto and multi-consumer boundaries. beam.Options.Fusion selects
-// the mode: FusionDefault is paper-faithful (the Apex runner fuses,
-// Flink and Spark emit one engine operator per primitive — the
-// structural overhead of Figure 13), while FusionOn/FusionOff force one
-// mode everywhere so the fused-vs-unfused cost is measurable per engine
+// into typed stages and — when fusion is on — collapses maximal ParDo
+// chains into single executable stages, stopping at GroupByKey,
+// Flatten, WindowInto and multi-consumer boundaries. What a stateless
+// stage does to a record — entry, DoFn, exit, its charges, and one
+// error policy: any failure fails the job — is graphx.Executable on all
+// three engines; the runners only wire it into their engine's graph.
+// beam.Options.Fusion selects the mode: FusionDefault is paper-faithful
+// (Apex fuses, Flink and Spark emit one engine operator per primitive,
+// Figure 13), FusionOn/FusionOff force one mode everywhere
 // (BenchmarkFusionOverhead, `beambench -fusion`, `planviz -fused`).
 //
 // # Telemetry

@@ -174,6 +174,29 @@ func NewGBKState(cfg GBKConfig) (*GBKState, error) {
 	return g, nil
 }
 
+// GBK validates a GroupByKey stage's windowing shape once, at
+// translation time (a rejection wraps beam.ErrUnsupported), and returns
+// the constructor an engine's keyed hook calls per instance with that
+// instance's charge.
+func (s *Stage) GBK(costs simcost.Costs, trace *obs.Tracer) (func(charge func(time.Duration)) (*GBKState, error), error) {
+	in := s.Inputs()[0]
+	cfg := GBKConfig{
+		Windowing: in.Windowing(),
+		Input:     in.Coder().(beam.KVCoder), // Lower checked
+		Output:    s.Output().Coder(),
+		Costs:     costs,
+		Trace:     trace,
+	}
+	if _, err := NewGBKState(cfg); err != nil {
+		return nil, err
+	}
+	return func(charge func(time.Duration)) (*GBKState, error) {
+		cfg := cfg
+		cfg.Charge = charge
+		return NewGBKState(cfg)
+	}, nil
+}
+
 // Windowed reports whether the instance runs in event-time mode.
 func (g *GBKState) Windowed() bool { return g.windowed }
 

@@ -1,5 +1,11 @@
 // Package graphx lowers a validated Beam pipeline into an execution
-// plan of stages that every runner translates from. Its ParDo-fusion
+// plan of typed stages that every runner translates from, and holds
+// what the engine runners execute in common: Executable, the one
+// stateless stage body (entry, DoFn, exit, charges and error policy),
+// and GBKState, the GroupByKey operator. A runner's translation is a
+// switch over the stages that wires these into its engine's graph.
+//
+// Lower's ParDo-fusion
 // pass generalizes the linear-chain fusion of the Apex runner to
 // arbitrary pipeline graphs: maximal chains of ParDos whose intermediate
 // collections have exactly one consumer collapse into a single
@@ -18,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"beambench/internal/beam"
 	"beambench/internal/dag"
@@ -87,6 +94,61 @@ func (s *Stage) Fn() beam.DoFn {
 	return &FusedFn{fns: fns, names: names}
 }
 
+// The typed config accessors assert: Lower has checked every stage's
+// config against its kind.
+
+// KafkaRead is a KafkaRead stage's connector config.
+func (s *Stage) KafkaRead() beam.KafkaReadConfig {
+	return s.Transforms[0].Config.(beam.KafkaReadConfig)
+}
+
+// KafkaWrite is a KafkaWrite stage's connector config.
+func (s *Stage) KafkaWrite() beam.KafkaWriteConfig {
+	return s.Transforms[0].Config.(beam.KafkaWriteConfig)
+}
+
+// CreateValues are a Create stage's in-memory values.
+func (s *Stage) CreateValues() []any { return s.Transforms[0].Config.([]any) }
+
+// WindowInto is the strategy a WindowInto stage assigns.
+func (s *Stage) WindowInto() beam.WindowingStrategy {
+	return s.Transforms[0].Config.(beam.WindowingStrategy)
+}
+
+// EventTime returns what an event-time WindowInto stage translates to
+// on every engine, the timestamp extractor of the engine's assigner:
+// decode the record with the input coder, then apply the strategy's
+// element-derived event time. This is where event time enters the
+// dataflow; window assignment itself stays in the strategy metadata the
+// GroupByKey consumes. Coder boundaries erase flow timestamps, so
+// non-global windowing without such an extractor is a capability gap
+// (beam.ErrUnsupported).
+func (s *Stage) EventTime() (func(rec []byte) (time.Time, error), error) {
+	ws, coder, name := s.WindowInto(), s.Inputs()[0].Coder(), s.Name()
+	if ws.EventTime == nil {
+		return nil, fmt.Errorf("%w: non-global windowing (%s) without an event-time extractor",
+			beam.ErrUnsupported, ws.Fn.Name())
+	}
+	return func(rec []byte) (time.Time, error) {
+		elem, err := coder.Decode(rec)
+		if err != nil {
+			return time.Time{}, stageErr(name, fmt.Errorf("decode: %w", err))
+		}
+		return ws.EventTime(elem)
+	}, nil
+}
+
+// Unsupported puts a runner's own ErrUnsupported sentinel into the
+// chain of a capability-gap error raised here (one wrapping
+// beam.ErrUnsupported), so callers can match either; any other error
+// passes through.
+func Unsupported(sentinel, err error) error {
+	if errors.Is(err, beam.ErrUnsupported) {
+		return fmt.Errorf("%w: %v", sentinel, err)
+	}
+	return err
+}
+
 // Plan is the lowered pipeline: stages in topological (construction)
 // order.
 type Plan struct {
@@ -108,7 +170,11 @@ func (pl *Plan) StageOf(col beam.PCollection) (*Stage, bool) {
 }
 
 // Lower validates the pipeline and lowers it into an execution plan,
-// running the fusion pass when requested.
+// running the fusion pass when requested. On top of Pipeline.Validate
+// it guarantees what every translation relies on: each transform is of
+// a known kind with a config of that kind's type, each input was
+// produced by an earlier transform, and GroupByKey consumes a KV-coded
+// collection.
 func Lower(p *beam.Pipeline, opts Options) (*Plan, error) {
 	if p == nil {
 		return nil, errors.New("graphx: nil pipeline")
@@ -132,7 +198,14 @@ func Lower(p *beam.Pipeline, opts Options) (*Plan, error) {
 	// stageByOutput tracks which stage produced each collection so a
 	// ParDo can extend its producer's chain.
 	stageByOutput := make(map[int]*Stage)
+	produced := make(map[int]bool)
 	for _, t := range transforms {
+		if err := check(t, produced); err != nil {
+			return nil, err
+		}
+		if t.Output.Valid() {
+			produced[t.Output.ID()] = true
+		}
 		if opts.Fusion && t.Kind == beam.KindParDo {
 			in := t.Inputs[0]
 			if prod, ok := stageByOutput[in.ID()]; ok &&
@@ -155,6 +228,38 @@ func Lower(p *beam.Pipeline, opts Options) (*Plan, error) {
 		}
 	}
 	return pl, nil
+}
+
+// check is Lower's per-transform validation; produced holds the
+// collections of the transforms before t.
+func check(t *beam.Transform, produced map[int]bool) error {
+	for _, in := range t.Inputs {
+		if !produced[in.ID()] {
+			return fmt.Errorf("graphx: %v %q consumes a collection no earlier transform produced", t.Kind, t.Name)
+		}
+	}
+	ok := true
+	switch t.Kind {
+	case beam.KindKafkaRead:
+		_, ok = t.Config.(beam.KafkaReadConfig)
+	case beam.KindKafkaWrite:
+		_, ok = t.Config.(beam.KafkaWriteConfig)
+	case beam.KindCreate:
+		_, ok = t.Config.([]any)
+	case beam.KindWindowInto:
+		_, ok = t.Config.(beam.WindowingStrategy)
+	case beam.KindGroupByKey:
+		if _, kv := t.Inputs[0].Coder().(beam.KVCoder); !kv {
+			return fmt.Errorf("%w: GroupByKey over coder %s", beam.ErrUnsupported, t.Inputs[0].Coder().Name())
+		}
+	case beam.KindParDo, beam.KindFlatten:
+	default:
+		return fmt.Errorf("%w: %v (%s)", beam.ErrUnsupported, t.Kind, t.Name)
+	}
+	if !ok {
+		return fmt.Errorf("graphx: malformed %v config %T", t.Kind, t.Config)
+	}
+	return nil
 }
 
 // Graph renders the plan as a DAG for visualization (cmd/planviz); a

@@ -2,6 +2,7 @@ package graphx_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -280,5 +281,55 @@ func TestPlanGraphRendersFusedStage(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "a+b+c") {
 		t.Errorf("rendered plan lacks fused stage label:\n%s", sb.String())
+	}
+}
+
+// TestLowerRejectsWhatTranslationsRelyOn: the runners' switches assert
+// instead of re-checking, so Lower has to turn every such defect away.
+func TestLowerRejectsWhatTranslationsRelyOn(t *testing.T) {
+	cases := map[string]struct {
+		build       func() *beam.Pipeline
+		unsupported bool
+	}{
+		"config of another kind's type": {build: func() *beam.Pipeline {
+			p, _ := chainPipeline(t)
+			p.Transforms()[0].Config = "not a []any"
+			return p
+		}},
+		"input from another pipeline": {build: func() *beam.Pipeline {
+			_, foreign := chainPipeline(t)
+			p := beam.NewPipeline()
+			beam.Create(p, []any{"x"})
+			beam.ParDo(p, "stray", ident("stray"), foreign)
+			return p
+		}},
+		"GroupByKey over a non-KV coder": {unsupported: true, build: func() *beam.Pipeline {
+			p := beam.NewPipeline()
+			beam.GroupByKey(p, beam.Create(p, []any{"x"}))
+			return p
+		}},
+		"unknown kind": {unsupported: true, build: func() *beam.Pipeline {
+			p, _ := chainPipeline(t)
+			p.Transforms()[1].Kind = 99
+			return p
+		}},
+	}
+	for name, tc := range cases {
+		_, err := graphx.Lower(tc.build(), graphx.Options{})
+		if err == nil || errors.Is(err, beam.ErrUnsupported) != tc.unsupported {
+			t.Errorf("%s: Lower = %v, want an error (capability gap: %v)", name, err, tc.unsupported)
+		}
+	}
+}
+
+func TestUnsupportedAddsTheRunnersSentinel(t *testing.T) {
+	sentinel := fmt.Errorf("somerunner: %w", beam.ErrUnsupported)
+	gap := fmt.Errorf("%w: some shape", beam.ErrUnsupported)
+	if err := graphx.Unsupported(sentinel, gap); !errors.Is(err, sentinel) || !errors.Is(err, beam.ErrUnsupported) {
+		t.Errorf("capability gap mapped to %v, want both sentinels in the chain", err)
+	}
+	other := errors.New("other")
+	if err := graphx.Unsupported(sentinel, other); err != other {
+		t.Errorf("other error mapped to %v, want it unchanged", err)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"beambench/internal/apex"
 	"beambench/internal/beam"
@@ -199,7 +198,7 @@ func Translate(p *beam.Pipeline, cfg Config) (*apex.Application, apex.LaunchConf
 	}
 	plan, err := graphx.Lower(p, graphx.Options{Fusion: cfg.Fusion.Enabled(true)})
 	if err != nil {
-		return nil, zero, err
+		return nil, zero, graphx.Unsupported(ErrUnsupported, err)
 	}
 
 	// sinkInput marks the collection feeding the KafkaWrite: the stage
@@ -209,16 +208,11 @@ func Translate(p *beam.Pipeline, cfg Config) (*apex.Application, apex.LaunchConf
 	var wc beam.KafkaWriteConfig
 	writes := 0
 	for _, s := range plan.Stages {
-		if s.Kind() != beam.KindKafkaWrite {
-			continue
+		if s.Kind() == beam.KindKafkaWrite {
+			writes++
+			wc = s.KafkaWrite()
+			sinkInput = s.Inputs()[0].ID()
 		}
-		writes++
-		c, ok := s.Transforms[0].Config.(beam.KafkaWriteConfig)
-		if !ok {
-			return nil, zero, errors.New("apexrunner: malformed KafkaWrite config")
-		}
-		wc = c
-		sinkInput = s.Inputs()[0].ID()
 	}
 	if writes == 0 {
 		return nil, zero, fmt.Errorf("%w: pipeline has no KafkaIO.Write sink", ErrUnsupported)
@@ -236,69 +230,65 @@ func Translate(p *beam.Pipeline, cfg Config) (*apex.Application, apex.LaunchConf
 			}
 		}
 	}
+	// The exit into the sink pays the per-record synchronous write
+	// bookkeeping: the payload's coder plus the unbatched send.
+	sinkCharge := cfg.Costs.CoderPerRecord + cfg.Costs.ProducerSyncSend
 
 	app := apex.NewApplication("beam")
 	names := stageNames(plan.Stages)
 
+	// Every stage body is the shared executable (graphx.Executable) with
+	// a different entry and exit; what is Apex's here is one operator
+	// per stage on buffer-server streams, and the sink wiring below.
 	// ops maps collection IDs to the operator producing them; sourceOut
-	// records the raw source outputs (no coder boundary yet: Kafka
+	// holds, as the entry fields of an Executable, how the stage behind a
+	// raw source output takes its records (no coder boundary yet: Kafka
 	// payloads to wrap, or Create values under the source coder).
 	ops := make(map[int]string)
-	sourceOut := make(map[int]entrySpec)
+	sourceOut := make(map[int]graphx.Executable)
 	streamN := 0
-	addStream := func(from, to string) {
-		app.AddStream(fmt.Sprintf("stream%d", streamN), from, to)
+	addStream := func(from, to string) string {
+		name := fmt.Sprintf("stream%d", streamN)
+		app.AddStream(name, from, to)
 		streamN++
+		return name
 	}
-	// entryFor resolves a stage's entry spec: wrap/decode a raw source
-	// output, or decode the upstream operator boundary coder.
-	entryFor := func(col beam.PCollection) (entrySpec, error) {
-		if e, ok := sourceOut[col.ID()]; ok {
-			return e, nil
-		}
-		if _, ok := ops[col.ID()]; !ok {
-			return entrySpec{}, fmt.Errorf("apexrunner: stage consumes untranslated collection")
-		}
-		return entrySpec{decode: col.Coder()}, nil
+	adjacent := func(s *graphx.Stage) bool {
+		_, raw := sourceOut[s.Inputs()[0].ID()]
+		return raw || s.Output().ID() == sinkInput
 	}
 
 	for i, s := range plan.Stages {
-		t := s.Transforms[0]
+		x := graphx.Executable{Name: names[i], Costs: cfg.Costs}
 		switch s.Kind() {
 		case beam.KindKafkaRead:
-			rc, ok := t.Config.(beam.KafkaReadConfig)
-			if !ok {
-				return nil, zero, errors.New("apexrunner: malformed KafkaRead config")
-			}
+			rc := s.KafkaRead()
 			app.AddInput(names[i], apex.KafkaInput(rc.Broker, rc.Topic, cfg.TargetRecords))
-			ops[t.Output.ID()] = names[i]
-			sourceOut[t.Output.ID()] = entrySpec{wrapKafka: true, kafkaTopic: rc.Topic}
+			sourceOut[s.Output().ID()] = graphx.Executable{Wrap: rc.Topic}
 
 		case beam.KindCreate:
-			values, ok := t.Config.([]any)
-			if !ok {
-				return nil, zero, errors.New("apexrunner: malformed Create config")
-			}
-			encoded, err := graphx.EncodeAll(values, s.Output().Coder())
+			encoded, err := graphx.EncodeAll(s.CreateValues(), s.Output().Coder())
 			if err != nil {
 				return nil, zero, fmt.Errorf("apexrunner: Create: %w", err)
 			}
 			app.AddInput(names[i], apex.SliceInput(encoded))
-			ops[t.Output.ID()] = names[i]
-			sourceOut[t.Output.ID()] = entrySpec{decode: s.Output().Coder()}
+			sourceOut[s.Output().ID()] = graphx.Executable{Decode: s.Output().Coder()}
 
 		case beam.KindParDo:
-			entry, err := entryFor(s.Inputs()[0])
-			if err != nil {
-				return nil, zero, err
+			// Fused, elements travel between the chained DoFns as
+			// in-memory values (container-local locality) and one dispatch
+			// charge applies per record; unfused, each operator boundary
+			// pays a coder round trip.
+			in := s.Inputs()[0]
+			x.Fn, x.Decode, x.Encode = s.Fn(), in.Coder(), s.Output().Coder()
+			if e, raw := sourceOut[in.ID()]; raw {
+				x.Wrap, x.Decode = e.Wrap, e.Decode
 			}
-			exit := exitSpec{encode: s.Output().Coder()}
 			if s.Output().ID() == sinkInput {
-				exit = exitSpec{toSink: true}
+				x.Encode, x.SinkCharge = nil, sinkCharge
 			}
-			app.AddOperator(names[i], stageOp(names[i], s.Fn(), entry, exit, cfg.Costs))
-			addStream(ops[s.Inputs()[0].ID()], names[i])
-			ops[s.Output().ID()] = names[i]
+			app.AddOperator(names[i], stage(x))
+			addStream(ops[in.ID()], names[i])
 
 		case beam.KindFlatten:
 			// Flatten is the engine's merge: every input stream feeds one
@@ -309,116 +299,65 @@ func Translate(p *beam.Pipeline, cfg Config) (*apex.Application, apex.LaunchConf
 			if s.Output().ID() == sinkInput {
 				return nil, zero, fmt.Errorf("%w: Flatten adjacent to sink", ErrUnsupported)
 			}
-			app.AddOperator(names[i], forwardOp(cfg.Costs))
+			app.AddOperator(names[i], stage(x))
 			for _, in := range s.Inputs() {
 				if _, raw := sourceOut[in.ID()]; raw {
 					return nil, zero, fmt.Errorf("%w: Flatten directly from a source", ErrUnsupported)
 				}
-				if _, ok := ops[in.ID()]; !ok {
-					return nil, zero, errors.New("apexrunner: Flatten consumes untranslated collection")
-				}
 				addStream(ops[in.ID()], names[i])
 			}
-			ops[s.Output().ID()] = names[i]
 
 		case beam.KindWindowInto:
-			ws, ok := t.Config.(beam.WindowingStrategy)
-			if !ok {
-				return nil, zero, errors.New("apexrunner: malformed WindowInto config")
-			}
-			if _, raw := sourceOut[s.Inputs()[0].ID()]; raw || s.Output().ID() == sinkInput {
+			if adjacent(s) {
 				return nil, zero, fmt.Errorf("%w: WindowInto adjacent to source or sink", ErrUnsupported)
 			}
-			if _, ok := ops[s.Inputs()[0].ID()]; !ok {
-				return nil, zero, errors.New("apexrunner: WindowInto consumes untranslated collection")
-			}
-			if ws.IsGlobal() {
+			if ws := s.WindowInto(); ws.IsGlobal() {
 				// Global re-windowing carries only strategy metadata
 				// (consumed by the downstream GroupByKey); at runtime it
 				// forwards the encoded records unchanged.
-				app.AddOperator(names[i], forwardOp(cfg.Costs))
+				app.AddOperator(names[i], stage(x))
 			} else {
-				if ws.EventTime == nil {
-					return nil, zero, fmt.Errorf("%w: non-global windowing (%s) without an event-time extractor",
-						ErrUnsupported, ws.Fn.Name())
+				// The engine's timestamp assigner: its watermark control
+				// events travel through every downstream operator
+				// (min-over-senders).
+				eventTime, err := s.EventTime()
+				if err != nil {
+					return nil, zero, graphx.Unsupported(ErrUnsupported, err)
 				}
-				// Event-time windowing is where event time enters the
-				// DAG: the transform becomes the engine's timestamp
-				// assigner, stamping watermark control events the runtime
-				// threads through every downstream operator
-				// (min-over-senders) to the GroupByKey panes. Window
-				// assignment itself stays in the strategy metadata the
-				// GroupByKey consumes.
-				coder := t.Inputs[0].Coder()
-				app.AddOperator(names[i], apex.AssignTimestamps(func(tuple []byte) (time.Time, error) {
-					elem, err := coder.Decode(tuple)
-					if err != nil {
-						return time.Time{}, fmt.Errorf("apexrunner: WindowInto decode: %w", err)
-					}
-					return ws.EventTime(elem)
-				}, ws.Bound))
+				app.AddOperator(names[i], apex.AssignTimestamps(eventTime, ws.Bound))
 			}
 			addStream(ops[s.Inputs()[0].ID()], names[i])
-			ops[s.Output().ID()] = names[i]
 
 		case beam.KindGroupByKey:
-			kvCoder, ok := t.Inputs[0].Coder().(beam.KVCoder)
-			if !ok {
-				return nil, zero, fmt.Errorf("%w: GroupByKey over coder %s", ErrUnsupported, t.Inputs[0].Coder().Name())
-			}
-			if _, raw := sourceOut[s.Inputs()[0].ID()]; raw || s.Output().ID() == sinkInput {
+			if adjacent(s) {
 				return nil, zero, fmt.Errorf("%w: GroupByKey adjacent to source or sink", ErrUnsupported)
 			}
-			if _, ok := ops[s.Inputs()[0].ID()]; !ok {
-				return nil, zero, errors.New("apexrunner: GroupByKey consumes untranslated collection")
-			}
-			// The shared executable generates no watermark of its own:
-			// panes fire off the control-event watermark the runtime
-			// propagates from the upstream WindowInto assigner, combined
-			// min-over-senders at every merge — sound at any parallelism
-			// without a conservative fallback.
-			gbkCfg := graphx.GBKConfig{
-				Windowing: t.Inputs[0].Windowing(),
-				Input:     kvCoder,
-				Output:    t.Output.Coder(),
-				Costs:     cfg.Costs,
-				Trace:     cfg.Trace,
-			}
-			if _, err := graphx.NewGBKState(gbkCfg); err != nil {
-				if errors.Is(err, beam.ErrUnsupported) {
-					return nil, zero, fmt.Errorf("%w: %v", ErrUnsupported, err)
-				}
-				return nil, zero, fmt.Errorf("apexrunner: %w", err)
+			newGBK, err := s.GBK(cfg.Costs, cfg.Trace)
+			if err != nil {
+				return nil, zero, graphx.Unsupported(ErrUnsupported, err)
 			}
 			app.AddOperator(names[i], apex.KeyedOp(func(ctx apex.OperatorContext) (watermark.Operator, error) {
-				cfg := gbkCfg
-				cfg.Charge = ctx.Charge
-				return graphx.NewGBKState(cfg)
+				return newGBK(ctx.Charge)
 			}))
 			// Keyed partitioning: the stream into the stateful operator
 			// hashes the encoded KV key, so equal keys meet in one
 			// partition.
-			streamName := fmt.Sprintf("stream%d", streamN)
-			addStream(ops[s.Inputs()[0].ID()], names[i])
-			app.SetStreamKeyed(streamName, graphx.EncodedKVKey)
-			ops[s.Output().ID()] = names[i]
+			app.SetStreamKeyed(addStream(ops[s.Inputs()[0].ID()], names[i]), graphx.EncodedKVKey)
 
 		case beam.KindKafkaWrite:
 			// Handled below: the sink is wired after its producer exists.
-
-		default:
-			return nil, zero, fmt.Errorf("%w: %v (%s)", ErrUnsupported, s.Kind(), s.Name())
+		}
+		if s.Output().Valid() {
+			ops[s.Output().ID()] = names[i]
 		}
 	}
 
-	prev, ok := ops[sinkInput]
-	if !ok {
-		return nil, zero, errors.New("apexrunner: KafkaWrite consumes untranslated collection")
-	}
-	if e, raw := sourceOut[sinkInput]; raw {
+	prev := ops[sinkInput]
+	if x, raw := sourceOut[sinkInput]; raw {
 		// Read straight into write: one forwarding stage preserves the
 		// three-operator minimum shape.
-		app.AddOperator(NameStage, stageOp(NameStage, nil, e, exitSpec{toSink: true}, cfg.Costs))
+		x.Name, x.SinkCharge, x.Costs = NameStage, sinkCharge, cfg.Costs
+		app.AddOperator(NameStage, stage(x))
 		addStream(prev, NameStage)
 		prev = NameStage
 	}
@@ -467,103 +406,11 @@ func stageNames(stages []*graphx.Stage) []string {
 	return names
 }
 
-// entrySpec describes how a stage turns an incoming tuple into an
-// element: wrapping a raw broker payload into a KafkaRecord (the first
-// stage after a Kafka source) or decoding with the boundary coder.
-type entrySpec struct {
-	kafkaTopic string
-	wrapKafka  bool
-	decode     beam.Coder
-}
-
-func sourceEntry(sourceIsKafka bool, topic string, createCoder beam.Coder) entrySpec {
-	if sourceIsKafka {
-		return entrySpec{wrapKafka: true, kafkaTopic: topic}
-	}
-	return entrySpec{decode: createCoder}
-}
-
-// exitSpec describes the stage exit: serializing the payload for the
-// synchronous Kafka sink, or encoding for the next operator boundary.
-type exitSpec struct {
-	toSink bool
-	encode beam.Coder
-}
-
-// stageOp builds one operator executing a ParDo stage (a single DoFn or
-// a fused chain; nil forwards elements unchanged). Fused, elements
-// travel between the chained DoFns as in-memory values (container-local
-// locality) and only one bundle-dispatch charge applies per record;
-// unfused, each operator boundary pays a coder round trip. The exit
-// into the sink charges the per-record synchronous write bookkeeping.
-func stageOp(name string, fn beam.DoFn, entry entrySpec, exit exitSpec, costs simcost.Costs) apex.GenericFactory {
+// stage deploys the shared executable as one Apex operator: the
+// engine's per-partition hook has the executable's shape, so binding it
+// to the partition's charge is the whole adapter.
+func stage(x graphx.Executable) apex.GenericFactory {
 	return apex.ProcessOp(func(ctx apex.OperatorContext) (func([]byte, func([]byte) error) error, error) {
-		if fn != nil {
-			if s, ok := fn.(beam.Setupper); ok {
-				if err := s.Setup(); err != nil {
-					return nil, fmt.Errorf("apexrunner: stage %q setup: %w", name, err)
-				}
-			}
-		}
-		bctx := beam.Context{Window: beam.GlobalWindow{}}
-
-		// Compose the stage once per operator instance; tupleEmit is
-		// rebound per incoming tuple.
-		var tupleEmit func([]byte) error
-		out := beam.Emitter(func(v any) error {
-			if exit.toSink {
-				payload, ok := v.([]byte)
-				if !ok {
-					return fmt.Errorf("apexrunner: KafkaWrite element %T is not []byte", v)
-				}
-				ctx.Charge(costs.CoderPerRecord)
-				ctx.Charge(costs.ProducerSyncSend)
-				return tupleEmit(payload)
-			}
-			wire, err := exit.encode.Encode(v)
-			if err != nil {
-				return fmt.Errorf("apexrunner: stage encode: %w", err)
-			}
-			ctx.Charge(costs.CoderPerRecord)
-			return tupleEmit(wire)
-		})
-		chain := out
-		if fn != nil {
-			chain = func(v any) error {
-				return fn.ProcessElement(bctx, v, out)
-			}
-		}
-
-		return func(tuple []byte, emit func([]byte) error) error {
-			// Stage entry: wrap or decode exactly once. Decoding pays
-			// the boundary coder cost, like the other runners' per-
-			// operator decode; wrapping a raw Kafka payload is free.
-			var elem any
-			if entry.wrapKafka {
-				elem = beam.KafkaRecord{Topic: entry.kafkaTopic, Value: tuple}
-			} else {
-				decoded, err := entry.decode.Decode(tuple)
-				if err != nil {
-					return fmt.Errorf("apexrunner: stage decode: %w", err)
-				}
-				ctx.Charge(costs.CoderPerRecord)
-				elem = decoded
-			}
-			ctx.Charge(costs.BeamDoFnPerRecord)
-			tupleEmit = emit
-			return chain(elem)
-		}, nil
-	})
-}
-
-// forwardOp forwards encoded records unchanged, charging only the
-// bundle dispatch — the runtime shape of a metadata-only transform
-// (WindowInto), matching the other runners' forwarding operators.
-func forwardOp(costs simcost.Costs) apex.GenericFactory {
-	return apex.ProcessOp(func(ctx apex.OperatorContext) (func([]byte, func([]byte) error) error, error) {
-		return func(tuple []byte, emit func([]byte) error) error {
-			ctx.Charge(costs.BeamDoFnPerRecord)
-			return emit(tuple)
-		}, nil
+		return x.Bind(ctx.Charge)
 	})
 }

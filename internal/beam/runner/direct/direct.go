@@ -11,7 +11,6 @@ package direct
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -131,7 +130,7 @@ func runStage(ctx context.Context, s *graphx.Stage, data map[int][]windowedValue
 	t := s.Transforms[0]
 	switch s.Kind() {
 	case beam.KindCreate:
-		return runCreate(t)
+		return runCreate(s.CreateValues()), nil
 	case beam.KindParDo:
 		return runParDo(s, data)
 	case beam.KindFlatten:
@@ -141,28 +140,24 @@ func runStage(ctx context.Context, s *graphx.Stage, data map[int][]windowedValue
 		}
 		return out, nil
 	case beam.KindWindowInto:
-		return runWindowInto(t, data)
+		return runWindowInto(s.WindowInto(), data[t.Inputs[0].ID()])
 	case beam.KindGroupByKey:
 		return runGBK(t, data)
 	case beam.KindKafkaRead:
-		return runKafkaRead(ctx, t, target)
+		return runKafkaRead(ctx, s.KafkaRead(), target)
 	case beam.KindKafkaWrite:
-		return nil, runKafkaWrite(t, data)
+		return nil, runKafkaWrite(s.KafkaWrite(), data[t.Inputs[0].ID()])
 	default:
 		return nil, fmt.Errorf("%w: kind %v", beam.ErrUnsupported, s.Kind())
 	}
 }
 
-func runCreate(t *beam.Transform) ([]windowedValue, error) {
-	values, ok := t.Config.([]any)
-	if !ok {
-		return nil, errors.New("malformed Create config")
-	}
+func runCreate(values []any) []windowedValue {
 	out := make([]windowedValue, len(values))
 	for i, v := range values {
 		out[i] = windowedValue{value: v, ts: time.Unix(0, 0).UTC(), window: beam.GlobalWindow{}}
 	}
-	return out, nil
+	return out
 }
 
 // runParDo executes a ParDo stage; for a fused stage the composed fn
@@ -193,13 +188,9 @@ func runParDo(s *graphx.Stage, data map[int][]windowedValue) ([]windowedValue, e
 	return out, nil
 }
 
-func runWindowInto(t *beam.Transform, data map[int][]windowedValue) ([]windowedValue, error) {
-	ws, ok := t.Config.(beam.WindowingStrategy)
-	if !ok {
-		return nil, errors.New("malformed WindowInto config")
-	}
+func runWindowInto(ws beam.WindowingStrategy, in []windowedValue) ([]windowedValue, error) {
 	var out []windowedValue
-	for _, wv := range data[t.Inputs[0].ID()] {
+	for _, wv := range in {
 		ts := wv.ts
 		// An element-derived event time re-stamps the element before
 		// window assignment — the deterministic path the engine runners
@@ -292,11 +283,7 @@ const _readIdlePoll = 20 * time.Millisecond
 // with target <= 0 it degrades to a bounded snapshot of the topic's
 // current contents. The blocking loop honors ctx, so a cancelled run
 // stops waiting for records that may never arrive.
-func runKafkaRead(ctx context.Context, t *beam.Transform, target int64) ([]windowedValue, error) {
-	cfg, ok := t.Config.(beam.KafkaReadConfig)
-	if !ok {
-		return nil, errors.New("malformed KafkaRead config")
-	}
+func runKafkaRead(ctx context.Context, cfg beam.KafkaReadConfig, target int64) ([]windowedValue, error) {
 	consumer, eoi, err := broker.OpenShare(cfg.Broker, cfg.Topic, broker.ConsumerConfig{MaxPollRecords: 10_000}, 0, 1, target)
 	if err != nil {
 		return nil, err
@@ -333,16 +320,12 @@ func runKafkaRead(ctx context.Context, t *beam.Transform, target int64) ([]windo
 	return out, nil
 }
 
-func runKafkaWrite(t *beam.Transform, data map[int][]windowedValue) error {
-	cfg, ok := t.Config.(beam.KafkaWriteConfig)
-	if !ok {
-		return errors.New("malformed KafkaWrite config")
-	}
+func runKafkaWrite(cfg beam.KafkaWriteConfig, in []windowedValue) error {
 	producer, err := cfg.Broker.NewProducer(cfg.Producer)
 	if err != nil {
 		return err
 	}
-	for _, wv := range data[t.Inputs[0].ID()] {
+	for _, wv := range in {
 		b, ok := wv.value.([]byte)
 		if !ok {
 			return fmt.Errorf("KafkaWrite element %T is not []byte", wv.value)

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"beambench/internal/beam"
 	"beambench/internal/beam/graphx"
@@ -134,7 +135,7 @@ func Translate(p *beam.Pipeline, cfg Config) (*flink.Environment, string, error)
 	}
 	plan, err := graphx.Lower(p, graphx.Options{Fusion: cfg.Fusion.Enabled(false)})
 	if err != nil {
-		return nil, "", err
+		return nil, "", graphx.Unsupported(ErrUnsupported, err)
 	}
 
 	costs := cfg.Cluster.Costs()
@@ -142,39 +143,32 @@ func Translate(p *beam.Pipeline, cfg Config) (*flink.Environment, string, error)
 		SetParallelism(cfg.Parallelism).
 		DisableOperatorChaining() // the runner emits unchained per-stage operators
 
+	// Every stage body is the shared executable (graphx.Executable) with
+	// a different entry and exit; what is Flink's here is one unchained
+	// operator, with its Figure 13 plan label, per stage.
 	streams := make(map[int]*flink.DataStream)
+	in := func(s *graphx.Stage) *flink.DataStream { return streams[s.Inputs()[0].ID()] }
 	jobName := "beam"
 	for _, s := range plan.Stages {
-		t := s.Transforms[0]
+		x := graphx.Executable{Name: s.Name(), Costs: costs}
 		switch s.Kind() {
 		case beam.KindKafkaRead:
-			rc, ok := t.Config.(beam.KafkaReadConfig)
-			if !ok {
-				return nil, "", fmt.Errorf("flinkrunner: malformed KafkaRead config")
-			}
+			rc := s.KafkaRead()
 			// The read expands to a raw source plus a flat map
 			// wrapping broker payloads into encoded KafkaRecords.
 			src := env.AddSource(NameRawSource, flink.KafkaSource(rc.Broker, rc.Topic, cfg.TargetRecords))
-			out := src.Process(NameReadFlatMap, readFlatMap(rc.Topic, t.Output.Coder(), costs))
-			streams[t.Output.ID()] = out
+			x.Wrap, x.Encode = rc.Topic, s.Output().Coder()
+			streams[s.Output().ID()] = src.Process(NameReadFlatMap, stage(x))
 			jobName = "beam-" + rc.Topic
 
 		case beam.KindCreate:
-			values, ok := t.Config.([]any)
-			if !ok {
-				return nil, "", fmt.Errorf("flinkrunner: malformed Create config")
-			}
-			encoded, err := graphx.EncodeAll(values, t.Output.Coder())
+			encoded, err := graphx.EncodeAll(s.CreateValues(), s.Output().Coder())
 			if err != nil {
 				return nil, "", fmt.Errorf("flinkrunner: Create: %w", err)
 			}
-			streams[t.Output.ID()] = env.AddSource(NameRawSource, flink.SliceSource(encoded))
+			streams[s.Output().ID()] = env.AddSource(NameRawSource, flink.SliceSource(encoded))
 
 		case beam.KindParDo:
-			in, ok := streams[s.Inputs()[0].ID()]
-			if !ok {
-				return nil, "", fmt.Errorf("flinkrunner: ParDo %q consumes untranslated collection", s.Name())
-			}
 			// A fused stage is one engine operator: a single decode on
 			// entry, the whole DoFn chain in memory, a single encode on
 			// exit — the coder boundaries between the fused ParDos are
@@ -183,191 +177,80 @@ func Translate(p *beam.Pipeline, cfg Config) (*flink.Environment, string, error)
 			if s.Fused() {
 				name = NameExecutableStage
 			}
-			streams[s.Output().ID()] = in.Process(name,
-				parDoProcess(s.Fn(), s.Inputs()[0].Coder(), s.Output().Coder(), costs))
+			x.Fn, x.Decode, x.Encode = s.Fn(), s.Inputs()[0].Coder(), s.Output().Coder()
+			streams[s.Output().ID()] = in(s).Process(name, stage(x))
 
 		case beam.KindKafkaWrite:
-			wc, ok := t.Config.(beam.KafkaWriteConfig)
-			if !ok {
-				return nil, "", fmt.Errorf("flinkrunner: malformed KafkaWrite config")
-			}
-			in, ok := streams[t.Inputs[0].ID()]
-			if !ok {
-				return nil, "", fmt.Errorf("flinkrunner: KafkaWrite consumes untranslated collection")
-			}
-			// Write expands to a serializing ParDo plus the sink.
-			serialized := in.Process(NameRawParDo, writeSerializer(t.Inputs[0].Coder(), costs))
-			serialized.AddSink("KafkaIO.Write "+wc.Topic, flink.KafkaSink(wc.Broker, wc.Topic, wc.Producer))
+			wc := s.KafkaWrite()
+			// Write expands to a serializing ParDo (decode back to the raw
+			// payload, Figure 13) plus the sink.
+			x.Decode = s.Inputs()[0].Coder()
+			in(s).Process(NameRawParDo, stage(x)).
+				AddSink("KafkaIO.Write "+wc.Topic, flink.KafkaSink(wc.Broker, wc.Topic, wc.Producer))
 
 		case beam.KindWindowInto:
-			ws, ok := t.Config.(beam.WindowingStrategy)
-			if !ok {
-				return nil, "", fmt.Errorf("flinkrunner: malformed WindowInto config")
-			}
-			in, ok := streams[t.Inputs[0].ID()]
-			if !ok {
-				return nil, "", fmt.Errorf("flinkrunner: WindowInto consumes untranslated collection")
-			}
+			ws := s.WindowInto()
 			if ws.IsGlobal() {
 				// Global re-windowing carries only strategy metadata; at
 				// runtime it is a forwarding operator.
-				streams[t.Output.ID()] = in.Process(NameRawParDo, forwardProcess(costs))
+				streams[s.Output().ID()] = in(s).Process(NameRawParDo, stage(x))
 				break
 			}
-			if ws.EventTime == nil {
-				// Coder boundaries erase flow timestamps, so non-global
-				// windowing is translatable only when event time derives
-				// from the element itself.
-				return nil, "", fmt.Errorf("%w: non-global windowing (%s) without an event-time extractor",
-					ErrUnsupported, ws.Fn.Name())
+			// The engine's timestamp assigner: its watermark control events
+			// travel through every downstream operator (min-over-senders).
+			eventTime, err := s.EventTime()
+			if err != nil {
+				return nil, "", graphx.Unsupported(ErrUnsupported, err)
 			}
-			// Event-time windowing is where event time enters the
-			// dataflow: the transform becomes the engine's timestamp
-			// assigner, stamping watermark control events that the runtime
-			// threads through every downstream operator (min-over-senders)
-			// to the GroupByKey panes. Window assignment itself stays in
-			// the strategy metadata the GroupByKey consumes.
-			streams[t.Output.ID()] = in.AssignTimestamps(NameRawParDo,
-				windowAssigner(ws, t.Inputs[0].Coder(), costs))
+			streams[s.Output().ID()] = in(s).AssignTimestamps(NameRawParDo, windowAssigner(eventTime, ws.Bound, costs))
 
 		case beam.KindFlatten:
-			ins := make([]*flink.DataStream, len(t.Inputs))
-			for i, col := range t.Inputs {
-				in, ok := streams[col.ID()]
-				if !ok {
-					return nil, "", fmt.Errorf("flinkrunner: Flatten consumes untranslated collection")
-				}
-				ins[i] = in
+			rest := make([]*flink.DataStream, 0, len(s.Inputs())-1)
+			for _, col := range s.Inputs()[1:] {
+				rest = append(rest, streams[col.ID()])
 			}
 			// Flatten is the engine's union: a multi-input merge whose
 			// output watermark the runtime holds at the minimum over all
 			// inputs, so a lagging branch holds back downstream panes.
-			streams[t.Output.ID()] = ins[0].Union("Flatten", ins[1:]...)
+			streams[s.Output().ID()] = in(s).Union("Flatten", rest...)
 
 		case beam.KindGroupByKey:
-			in, ok := streams[t.Inputs[0].ID()]
-			if !ok {
-				return nil, "", fmt.Errorf("flinkrunner: GroupByKey consumes untranslated collection")
+			// Hash-partition by key so equal keys meet in one subtask;
+			// the shared GroupByKey executable fires its panes
+			// tuple-at-a-time, as the subtask's combined watermark advances.
+			newGBK, err := s.GBK(costs, cfg.Cluster.Trace())
+			if err != nil {
+				return nil, "", graphx.Unsupported(ErrUnsupported, err)
 			}
-			kvCoder, ok := t.Inputs[0].Coder().(beam.KVCoder)
-			if !ok {
-				return nil, "", fmt.Errorf("%w: GroupByKey over coder %s", ErrUnsupported, t.Inputs[0].Coder().Name())
-			}
-			// Hash-partition by key so equal keys meet in one subtask
-			// (Flink supports the stateful side of the capability
-			// matrix), then run the shared GroupByKey executable with
-			// end-of-input flush. Event-time windows fire tuple-at-a-time
-			// as the subtask watermark advances; global windows fire on
-			// the count trigger and at flush.
-			// The shared executable generates no watermark of its own:
-			// panes fire off the control-event watermark the runtime
-			// propagates from the upstream WindowInto assigner, combined
-			// min-over-senders at every merge — sound at any parallelism
-			// without a conservative fallback.
-			gbkCfg := graphx.GBKConfig{
-				Windowing: t.Inputs[0].Windowing(),
-				Input:     kvCoder,
-				Output:    t.Output.Coder(),
-				Costs:     costs,
-				Trace:     cfg.Cluster.Trace(),
-			}
-			if _, err := graphx.NewGBKState(gbkCfg); err != nil {
-				if errors.Is(err, beam.ErrUnsupported) {
-					return nil, "", fmt.Errorf("%w: %v", ErrUnsupported, err)
-				}
-				return nil, "", fmt.Errorf("flinkrunner: %w", err)
-			}
-			keyed := in.KeyBy(graphx.EncodedKVKey)
-			streams[t.Output.ID()] = keyed.KeyedProcess("GroupByKey", func(ctx flink.OperatorContext) (watermark.Operator, error) {
-				cfg := gbkCfg
-				cfg.Charge = ctx.Charge
-				return graphx.NewGBKState(cfg)
-			})
+			streams[s.Output().ID()] = in(s).KeyBy(graphx.EncodedKVKey).
+				KeyedProcess("GroupByKey", func(ctx flink.OperatorContext) (watermark.Operator, error) {
+					return newGBK(ctx.Charge)
+				})
 
-		default:
-			return nil, "", fmt.Errorf("%w: %v (%s)", ErrUnsupported, s.Kind(), s.Name())
 		}
 	}
 	return env, jobName, nil
 }
 
-// readFlatMap wraps raw broker payloads into KafkaRecord elements and
-// encodes them for the first operator boundary.
-func readFlatMap(topic string, coder beam.Coder, costs simcost.Costs) flink.ProcessFactory {
+// stage deploys the shared executable as one Flink operator. The
+// runtime hands a subtask's ProcessFunc the same Collector on every
+// call, so its Collect is bound when the collector changes — once — and
+// the adapter adds no allocation to the record path.
+func stage(x graphx.Executable) flink.ProcessFactory {
 	return func(ctx flink.OperatorContext) (flink.ProcessFunc, error) {
-		return func(rec []byte, out flink.Collector) error {
-			ctx.Charge(costs.BeamDoFnPerRecord)
-			elem := beam.KafkaRecord{Topic: topic, Value: rec}
-			wire, err := coder.Encode(elem)
-			if err != nil {
-				return fmt.Errorf("flinkrunner: read encode: %w", err)
-			}
-			ctx.Charge(costs.CoderPerRecord)
-			return out.Collect(wire)
-		}, nil
-	}
-}
-
-// parDoProcess invokes the DoFn between a decode and an encode, the
-// per-boundary coder work the paper attributes the Flink overhead to.
-func parDoProcess(fn beam.DoFn, inCoder, outCoder beam.Coder, costs simcost.Costs) flink.ProcessFactory {
-	return func(ctx flink.OperatorContext) (flink.ProcessFunc, error) {
-		if s, ok := fn.(beam.Setupper); ok {
-			if err := s.Setup(); err != nil {
-				return nil, fmt.Errorf("flinkrunner: DoFn setup: %w", err)
-			}
+		process, err := x.Bind(ctx.Charge)
+		if err != nil {
+			return nil, err
 		}
+		var (
+			bound   flink.Collector
+			collect func([]byte) error
+		)
 		return func(rec []byte, out flink.Collector) error {
-			elem, err := inCoder.Decode(rec)
-			if err != nil {
-				return fmt.Errorf("flinkrunner: decode: %w", err)
+			if out != bound {
+				bound, collect = out, out.Collect
 			}
-			ctx.Charge(costs.CoderPerRecord)
-			ctx.Charge(costs.BeamDoFnPerRecord)
-			bctx := beam.Context{Window: beam.GlobalWindow{}}
-			// The emitter closure adapts the Beam SDK contract to the
-			// engine collector: it is the SDK-harness hop whose cost the
-			// benchmark quantifies.
-			//beamvet:allow hotalloc the emitter adapter is the SDK-to-engine hop under measurement
-			return fn.ProcessElement(bctx, elem, func(emitted any) error {
-				wire, err := outCoder.Encode(emitted)
-				if err != nil {
-					return fmt.Errorf("flinkrunner: encode: %w", err)
-				}
-				ctx.Charge(costs.CoderPerRecord)
-				return out.Collect(wire)
-			})
-		}, nil
-	}
-}
-
-// writeSerializer decodes the final collection back to raw bytes for the
-// Kafka sink (the write-expansion ParDo of Figure 13).
-func writeSerializer(inCoder beam.Coder, costs simcost.Costs) flink.ProcessFactory {
-	return func(ctx flink.OperatorContext) (flink.ProcessFunc, error) {
-		return func(rec []byte, out flink.Collector) error {
-			elem, err := inCoder.Decode(rec)
-			if err != nil {
-				return fmt.Errorf("flinkrunner: write decode: %w", err)
-			}
-			ctx.Charge(costs.CoderPerRecord)
-			payload, ok := elem.([]byte)
-			if !ok {
-				return fmt.Errorf("flinkrunner: KafkaWrite element %T is not []byte", elem)
-			}
-			ctx.Charge(costs.BeamDoFnPerRecord)
-			return out.Collect(payload)
-		}, nil
-	}
-}
-
-// forwardProcess forwards records unchanged; it carries the plan node
-// for metadata-only transforms like global re-windowing.
-func forwardProcess(costs simcost.Costs) flink.ProcessFactory {
-	return func(ctx flink.OperatorContext) (flink.ProcessFunc, error) {
-		return func(rec []byte, out flink.Collector) error {
-			ctx.Charge(costs.BeamDoFnPerRecord)
-			return out.Collect(rec)
+			return process(rec, collect)
 		}, nil
 	}
 }
@@ -377,20 +260,16 @@ func forwardProcess(costs simcost.Costs) flink.ProcessFactory {
 // feeds a per-subtask watermark generator with the strategy's bound, and
 // every generator advance is emitted as a watermark control event behind
 // the record it covers.
-func windowAssigner(ws beam.WindowingStrategy, coder beam.Coder, costs simcost.Costs) flink.AssignerFactory {
+func windowAssigner(eventTime func([]byte) (time.Time, error), bound time.Duration, costs simcost.Costs) flink.AssignerFactory {
 	return func(ctx flink.OperatorContext, wm flink.WatermarkEmitter) (flink.ProcessFunc, error) {
-		gen := watermark.NewGenerator(ws.Bound)
+		gen := watermark.NewGenerator(bound)
 		return func(rec []byte, out flink.Collector) error {
-			elem, err := coder.Decode(rec)
+			et, err := eventTime(rec)
 			if err != nil {
-				return fmt.Errorf("flinkrunner: WindowInto decode: %w", err)
+				return err
 			}
 			ctx.Charge(costs.CoderPerRecord)
 			ctx.Charge(costs.BeamDoFnPerRecord)
-			et, err := ws.EventTime(elem)
-			if err != nil {
-				return fmt.Errorf("flinkrunner: WindowInto event time: %w", err)
-			}
 			if err := out.Collect(rec); err != nil {
 				return err
 			}

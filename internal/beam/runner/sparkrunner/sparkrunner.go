@@ -30,7 +30,6 @@ import (
 
 	"beambench/internal/beam"
 	"beambench/internal/beam/graphx"
-	"beambench/internal/simcost"
 	"beambench/internal/spark"
 	"beambench/internal/watermark"
 )
@@ -155,7 +154,7 @@ func translate(p *beam.Pipeline, cfg Config) (*spark.StreamingContext, int, erro
 	}
 	plan, err := graphx.Lower(p, graphx.Options{Fusion: cfg.Fusion.Enabled(false)})
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, graphx.Unsupported(ErrUnsupported, err)
 	}
 	ssc, err := spark.NewStreamingContext(cfg.Cluster, spark.Config{
 		DefaultParallelism:  cfg.Parallelism,
@@ -166,7 +165,12 @@ func translate(p *beam.Pipeline, cfg Config) (*spark.StreamingContext, int, erro
 	}
 	costs := cfg.Cluster.Costs()
 
+	// Every stage body is the shared executable (graphx.Executable) with
+	// a different entry and exit, bound per task; what is Spark's here is
+	// the redistribution, the partition bookkeeping and the operator
+	// count.
 	streams := make(map[int]*spark.DStream)
+	in := func(s *graphx.Stage) *spark.DStream { return streams[s.Inputs()[0].ID()] }
 	// multiPart tracks which translated streams can hold more than one
 	// RDD partition per batch (a multi-partition topic, a default
 	// redistribution, or a union laying branch partitions side by side).
@@ -175,15 +179,13 @@ func translate(p *beam.Pipeline, cfg Config) (*spark.StreamingContext, int, erro
 	multiPart := make(map[int]bool)
 	opCount := 0
 	for _, s := range plan.Stages {
-		t := s.Transforms[0]
+		x := graphx.Executable{Name: s.Name(), Costs: costs}
 		switch s.Kind() {
 		case beam.KindKafkaRead:
-			rc, ok := t.Config.(beam.KafkaReadConfig)
-			if !ok {
-				return nil, 0, errors.New("sparkrunner: malformed KafkaRead config")
-			}
+			rc := s.KafkaRead()
+			x.Wrap, x.Encode = rc.Topic, s.Output().Coder()
 			ds := ssc.KafkaDirectStream(rc.Broker, rc.Topic, cfg.TargetRecords).
-				Transform(readAdapter(rc.Topic, t.Output.Coder(), costs)).
+				Transform(stage(x)).
 				Named("KafkaIO.Read " + rc.Topic)
 			opCount += 2 // direct stream + read adapter
 			// The runner redistributes to spark.default.parallelism —
@@ -192,134 +194,74 @@ func translate(p *beam.Pipeline, cfg Config) (*spark.StreamingContext, int, erro
 				ds = ds.RepartitionDefault()
 				opCount++
 			}
-			streams[t.Output.ID()] = ds
+			streams[s.Output().ID()] = ds
 			nParts, err := rc.Broker.Partitions(rc.Topic)
 			if err != nil {
 				return nil, 0, fmt.Errorf("sparkrunner: KafkaRead: %w", err)
 			}
-			multiPart[t.Output.ID()] = nParts > 1 || cfg.Parallelism > 1
+			multiPart[s.Output().ID()] = nParts > 1 || cfg.Parallelism > 1
 
 		case beam.KindCreate:
-			values, ok := t.Config.([]any)
-			if !ok {
-				return nil, 0, errors.New("sparkrunner: malformed Create config")
-			}
-			encoded, err := graphx.EncodeAll(values, t.Output.Coder())
+			encoded, err := graphx.EncodeAll(s.CreateValues(), s.Output().Coder())
 			if err != nil {
 				return nil, 0, fmt.Errorf("sparkrunner: Create: %w", err)
 			}
-			streams[t.Output.ID()] = ssc.SliceStream(encoded, 0)
+			streams[s.Output().ID()] = ssc.SliceStream(encoded, 0)
 			opCount++
 
 		case beam.KindParDo:
-			in, ok := streams[s.Inputs()[0].ID()]
-			if !ok {
-				return nil, 0, fmt.Errorf("sparkrunner: ParDo %q consumes untranslated collection", s.Name())
-			}
 			// A fused stage runs its whole DoFn chain inside one
 			// per-batch stage: one decode, in-memory hops, one encode.
-			streams[s.Output().ID()] = in.TransformE(
-				parDoStage(s.Name(), s.Fn(), s.Inputs()[0].Coder(), s.Output().Coder(), costs)).
-				Named(s.Name())
+			x.Fn, x.Decode, x.Encode = s.Fn(), s.Inputs()[0].Coder(), s.Output().Coder()
+			streams[s.Output().ID()] = in(s).Transform(stage(x)).Named(s.Name())
 			multiPart[s.Output().ID()] = multiPart[s.Inputs()[0].ID()]
 			opCount++
 
 		case beam.KindKafkaWrite:
-			wc, ok := t.Config.(beam.KafkaWriteConfig)
-			if !ok {
-				return nil, 0, errors.New("sparkrunner: malformed KafkaWrite config")
-			}
-			in, ok := streams[t.Inputs[0].ID()]
-			if !ok {
-				return nil, 0, errors.New("sparkrunner: KafkaWrite consumes untranslated collection")
-			}
-			in.Transform(writeSerializer(t.Inputs[0].Coder(), costs)).
+			wc := s.KafkaWrite()
+			x.Decode = s.Inputs()[0].Coder()
+			in(s).Transform(stage(x)).
 				Named("KafkaIO.Write "+wc.Topic+" serializer").
 				SaveToKafka("KafkaIO.Write "+wc.Topic, wc.Broker, wc.Topic, wc.Producer)
 			opCount += 2 // write serializer + sink
 
 		case beam.KindWindowInto:
-			ws, ok := t.Config.(beam.WindowingStrategy)
-			if !ok {
-				return nil, 0, errors.New("sparkrunner: malformed WindowInto config")
-			}
-			in, ok := streams[t.Inputs[0].ID()]
-			if !ok {
-				return nil, 0, errors.New("sparkrunner: WindowInto consumes untranslated collection")
-			}
+			ws := s.WindowInto()
+			multiPart[s.Output().ID()] = multiPart[s.Inputs()[0].ID()]
+			opCount++
 			if ws.IsGlobal() {
 				// Global re-windowing only carries strategy metadata
 				// (consumed by the downstream GroupByKey); at runtime it
 				// forwards records.
-				streams[t.Output.ID()] = in.Transform(func(task spark.TaskContext) func([]byte, func([]byte)) {
-					return func(rec []byte, emit func([]byte)) {
-						task.Charge(costs.BeamDoFnPerRecord)
-						emit(rec)
-					}
-				}).Named(s.Name())
-				multiPart[t.Output.ID()] = multiPart[t.Inputs[0].ID()]
-				opCount++
+				streams[s.Output().ID()] = in(s).Transform(stage(x)).Named(s.Name())
 				break
 			}
-			if ws.EventTime == nil {
-				return nil, 0, fmt.Errorf("%w: non-global windowing (%s) without an event-time extractor",
-					ErrUnsupported, ws.Fn.Name())
+			// The lineage's timestamp assigner: the scheduler delivers the
+			// minimum over its per-partition watermark generators to
+			// downstream stateful stages at every batch boundary.
+			eventTime, err := s.EventTime()
+			if err != nil {
+				return nil, 0, graphx.Unsupported(ErrUnsupported, err)
 			}
-			// Event-time windowing becomes the lineage's timestamp
-			// assigner: per-partition watermark generators observe the
-			// element-derived event times, and the scheduler delivers
-			// their minimum to downstream stateful stages at every batch
-			// boundary. Window assignment itself stays in the strategy
-			// metadata the GroupByKey consumes.
-			coder := t.Inputs[0].Coder()
-			streams[t.Output.ID()] = in.AssignTimestampsBounded(func(rec []byte) (time.Time, error) {
-				elem, err := coder.Decode(rec)
-				if err != nil {
-					return time.Time{}, fmt.Errorf("sparkrunner: WindowInto decode: %w", err)
-				}
-				return ws.EventTime(elem)
-			}, ws.Bound).Named(s.Name())
-			multiPart[t.Output.ID()] = multiPart[t.Inputs[0].ID()]
-			opCount++
+			streams[s.Output().ID()] = in(s).AssignTimestampsBounded(eventTime, ws.Bound).Named(s.Name())
 
 		case beam.KindFlatten:
-			ins := make([]*spark.DStream, len(t.Inputs))
-			for i, col := range t.Inputs {
-				in, ok := streams[col.ID()]
-				if !ok {
-					return nil, 0, errors.New("sparkrunner: Flatten consumes untranslated collection")
-				}
-				ins[i] = in
+			rest := make([]*spark.DStream, 0, len(s.Inputs())-1)
+			for _, col := range s.Inputs()[1:] {
+				rest = append(rest, streams[col.ID()])
 			}
 			// Flatten is the engine's union: per batch the output stage
 			// concatenates its parents' partitions, and the lineage
 			// watermark downstream is the minimum over every branch's
 			// assigners.
-			streams[t.Output.ID()] = ins[0].Union(ins[1:]...).Named(s.Name())
-			multiPart[t.Output.ID()] = true
+			streams[s.Output().ID()] = in(s).Union(rest...).Named(s.Name())
+			multiPart[s.Output().ID()] = true
 			opCount++
 
 		case beam.KindGroupByKey:
-			in, ok := streams[t.Inputs[0].ID()]
-			if !ok {
-				return nil, 0, errors.New("sparkrunner: GroupByKey consumes untranslated collection")
-			}
-			kvCoder, ok := t.Inputs[0].Coder().(beam.KVCoder)
-			if !ok {
-				return nil, 0, fmt.Errorf("%w: GroupByKey over coder %s", ErrUnsupported, t.Inputs[0].Coder().Name())
-			}
-			gbkCfg := graphx.GBKConfig{
-				Windowing: t.Inputs[0].Windowing(),
-				Input:     kvCoder,
-				Output:    t.Output.Coder(),
-				Costs:     costs,
-				Trace:     cfg.Cluster.Trace(),
-			}
-			if _, err := graphx.NewGBKState(gbkCfg); err != nil {
-				if errors.Is(err, beam.ErrUnsupported) {
-					return nil, 0, fmt.Errorf("%w: %v", ErrUnsupported, err)
-				}
-				return nil, 0, fmt.Errorf("sparkrunner: %w", err)
+			newGBK, err := s.GBK(costs, cfg.Cluster.Trace())
+			if err != nil {
+				return nil, 0, graphx.Unsupported(ErrUnsupported, err)
 			}
 			// The engine's micro-batch state path: with parallelism above
 			// one the upstream redistribution scattered each key's
@@ -327,88 +269,27 @@ func translate(p *beam.Pipeline, cfg Config) (*spark.StreamingContext, int, erro
 			// first; the stateful stage then runs the shared GroupByKey
 			// executable per partition, firing watermark-ready panes at
 			// batch boundaries and flushing on end of input.
-			if cfg.Parallelism > 1 || multiPart[t.Inputs[0].ID()] {
-				in = in.RepartitionByKey(cfg.Parallelism, graphx.EncodedKVKey)
+			keyed := in(s)
+			if cfg.Parallelism > 1 || multiPart[s.Inputs()[0].ID()] {
+				keyed = keyed.RepartitionByKey(cfg.Parallelism, graphx.EncodedKVKey)
 				opCount++
 			}
-			streams[t.Output.ID()] = in.Stateful("GroupByKey", func(_ int, charge func(time.Duration)) (watermark.Operator, error) {
-				cfg := gbkCfg
-				cfg.Charge = charge
-				return graphx.NewGBKState(cfg)
+			streams[s.Output().ID()] = keyed.Stateful("GroupByKey", func(_ int, charge func(time.Duration)) (watermark.Operator, error) {
+				return newGBK(charge)
 			})
-			multiPart[t.Output.ID()] = cfg.Parallelism > 1
+			multiPart[s.Output().ID()] = cfg.Parallelism > 1
 			opCount++
-
-		default:
-			return nil, 0, fmt.Errorf("%w: %v (%s)", ErrUnsupported, s.Kind(), s.Name())
 		}
 	}
 	return ssc, opCount, nil
 }
 
-// readAdapter wraps raw payloads into encoded KafkaRecord elements.
-func readAdapter(topic string, coder beam.Coder, costs simcost.Costs) func(spark.TaskContext) func([]byte, func([]byte)) {
-	return func(task spark.TaskContext) func([]byte, func([]byte)) {
-		return func(rec []byte, emit func([]byte)) {
-			task.Charge(costs.BeamDoFnPerRecord)
-			wire, err := coder.Encode(beam.KafkaRecord{Topic: topic, Value: rec})
-			if err != nil {
-				return // malformed records are dropped, like a failed coder in a bundle retry
-			}
-			task.Charge(costs.CoderPerRecord)
-			emit(wire)
-		}
-	}
-}
-
-// parDoStage invokes the DoFn per element inside each micro-batch task.
-// A Setup failure fails the task (and the run) instead of processing
-// records through an un-initialized DoFn.
-func parDoStage(name string, fn beam.DoFn, inCoder, outCoder beam.Coder, costs simcost.Costs) func(spark.TaskContext) (func([]byte, func([]byte)), error) {
-	return func(task spark.TaskContext) (func([]byte, func([]byte)), error) {
-		if s, ok := fn.(beam.Setupper); ok {
-			if err := s.Setup(); err != nil {
-				return nil, fmt.Errorf("sparkrunner: stage %q setup: %w", name, err)
-			}
-		}
-		return func(rec []byte, emit func([]byte)) {
-			elem, err := inCoder.Decode(rec)
-			if err != nil {
-				return
-			}
-			task.Charge(costs.CoderPerRecord)
-			task.Charge(costs.BeamDoFnPerRecord)
-			bctx := beam.Context{Window: beam.GlobalWindow{}}
-			// The emitter closure adapts the Beam SDK contract to the
-			// engine collector: it is the SDK-harness hop whose cost the
-			// benchmark quantifies.
-			//beamvet:allow hotalloc the emitter adapter is the SDK-to-engine hop under measurement
-			_ = fn.ProcessElement(bctx, elem, func(emitted any) error {
-				wire, err := outCoder.Encode(emitted)
-				if err != nil {
-					return err
-				}
-				task.Charge(costs.CoderPerRecord)
-				emit(wire)
-				return nil
-			})
-		}, nil
-	}
-}
-
-// writeSerializer decodes final elements back to raw bytes for the sink.
-func writeSerializer(inCoder beam.Coder, costs simcost.Costs) func(spark.TaskContext) func([]byte, func([]byte)) {
-	return func(task spark.TaskContext) func([]byte, func([]byte)) {
-		return func(rec []byte, emit func([]byte)) {
-			elem, err := inCoder.Decode(rec)
-			if err != nil {
-				return
-			}
-			task.Charge(costs.CoderPerRecord)
-			if payload, ok := elem.([]byte); ok {
-				task.Charge(costs.BeamDoFnPerRecord)
-				emit(payload)
-			}
-		}
+// stage deploys the shared executable as one narrow stage: the
+// engine's per-task hook has the executable's shape, so binding it to
+// the task's charge is the whole adapter. A Setup or record failure
+// fails the task, the batch and the run.
+func stage(x graphx.Executable) func(spark.TaskContext) (func([]byte, func([]byte) error) error, error) {
+	return func(task spark.TaskContext) (func([]byte, func([]byte) error) error, error) {
+		return x.Bind(task.Charge)
 	}
 }

@@ -130,15 +130,15 @@ const (
 	stageAssign
 )
 
-// narrowFn processes one record, emitting zero or more records.
-type narrowFn func(rec []byte, emit func([]byte))
+// narrowFn processes one record, emitting zero or more records. An
+// error, its own or one emit returned, fails the task and the batch.
+type narrowFn = func(rec []byte, emit func([]byte) error) error
 
 // narrowFactory builds the per-task function for a (batch, partition),
 // allowing per-task state such as sampling RNGs or runner cost meters.
-// A factory error fails the task (and with it the batch), the channel
-// through which per-instance initialization failures such as a Beam
-// DoFn Setup error surface.
-type narrowFactory func(task TaskContext) (narrowFn, error)
+// Its error fails the task too: that is how a per-instance
+// initialization failure such as a Beam DoFn Setup error surfaces.
+type narrowFactory = func(task TaskContext) (narrowFn, error)
 
 // TaskContext describes the task evaluating a stage partition.
 type TaskContext struct {
@@ -222,7 +222,7 @@ func (ds *DStream) Map(fn func([]byte) []byte) *DStream {
 		return ds
 	}
 	return ds.narrow(func(TaskContext) (narrowFn, error) {
-		return func(rec []byte, emit func([]byte)) { emit(fn(rec)) }, nil
+		return func(rec []byte, emit func([]byte) error) error { return emit(fn(rec)) }, nil
 	}).Named("Map")
 }
 
@@ -232,13 +232,17 @@ func (ds *DStream) Filter(fn func([]byte) bool) *DStream {
 		ds.ssc.fail(fmt.Errorf("spark: nil filter function"))
 		return ds
 	}
-	return ds.narrow(func(TaskContext) (narrowFn, error) {
-		return func(rec []byte, emit func([]byte)) {
-			if fn(rec) {
-				emit(rec)
-			}
-		}, nil
-	}).Named("Filter")
+	return ds.narrow(func(TaskContext) (narrowFn, error) { return keepIf(fn), nil }).Named("Filter")
+}
+
+// keepIf passes on the records keep accepts.
+func keepIf(keep func([]byte) bool) narrowFn {
+	return func(rec []byte, emit func([]byte) error) error {
+		if keep(rec) {
+			return emit(rec)
+		}
+		return nil
+	}
 }
 
 // FlatMap applies a 1:N transformation.
@@ -247,7 +251,22 @@ func (ds *DStream) FlatMap(fn func(rec []byte, emit func([]byte))) *DStream {
 		ds.ssc.fail(fmt.Errorf("spark: nil flatMap function"))
 		return ds
 	}
-	return ds.narrow(func(TaskContext) (narrowFn, error) { return narrowFn(fn), nil }).Named("FlatMap")
+	return ds.narrow(func(TaskContext) (narrowFn, error) {
+		// fn's emit cannot fail; the adapter, built once per task, keeps
+		// the first downstream error and drops what fn emits after it.
+		var next func([]byte) error
+		var err error
+		emit := func(rec []byte) {
+			if err == nil {
+				err = next(rec)
+			}
+		}
+		return func(rec []byte, out func([]byte) error) error {
+			next = out
+			fn(rec, emit)
+			return err
+		}, nil
+	}).Named("FlatMap")
 }
 
 // Sample keeps approximately fraction of the records, seeded
@@ -259,40 +278,19 @@ func (ds *DStream) Sample(fraction float64, seed uint64) *DStream {
 	}
 	return ds.narrow(func(task TaskContext) (narrowFn, error) {
 		rng := rand.New(rand.NewPCG(seed, uint64(task.BatchID)<<32|uint64(task.Partition)))
-		return func(rec []byte, emit func([]byte)) {
-			if rng.Float64() < fraction {
-				emit(rec)
-			}
-		}, nil
+		return keepIf(func([]byte) bool { return rng.Float64() < fraction }), nil
 	}).Named("Sample")
 }
 
 // Transform applies a custom per-task stage, the hook the Beam runner
-// uses to interpose DoFn invocation and coder costs.
-func (ds *DStream) Transform(factory func(task TaskContext) func(rec []byte, emit func([]byte))) *DStream {
+// deploys its stages through. A factory error and an error of the
+// function it returns both fail the task and propagate out of the run.
+func (ds *DStream) Transform(factory func(task TaskContext) (func(rec []byte, emit func([]byte) error) error, error)) *DStream {
 	if factory == nil {
 		ds.ssc.fail(fmt.Errorf("spark: nil transform factory"))
 		return ds
 	}
-	return ds.narrow(func(task TaskContext) (narrowFn, error) {
-		return narrowFn(factory(task)), nil
-	}).Named("Transform")
-}
-
-// TransformE is Transform for factories whose per-task initialization
-// can fail; the error fails the task and propagates out of the run.
-func (ds *DStream) TransformE(factory func(task TaskContext) (func(rec []byte, emit func([]byte)), error)) *DStream {
-	if factory == nil {
-		ds.ssc.fail(fmt.Errorf("spark: nil transform factory"))
-		return ds
-	}
-	return ds.narrow(func(task TaskContext) (narrowFn, error) {
-		fn, err := factory(task)
-		if err != nil {
-			return nil, err
-		}
-		return narrowFn(fn), nil
-	}).Named("Transform")
+	return ds.narrow(factory).Named("Transform")
 }
 
 func (ds *DStream) narrow(factory narrowFactory) *DStream {

@@ -296,12 +296,6 @@ func (ssc *StreamingContext) runFlushBatch(batchID int64, driver *simcost.Meter)
 	return nil
 }
 
-// narrowStage is one named narrow stage of a fused task group.
-type narrowStage struct {
-	name    string
-	factory narrowFactory
-}
-
 // compute recursively evaluates the lineage of ds over one batch.
 // batch maps each input stream to its partitions; with flush set (the
 // end-of-input pass) the inputs contribute nothing, stateful stages
@@ -352,10 +346,10 @@ func (ssc *StreamingContext) compute(ds *DStream, batchID int64, batch map[*DStr
 		}
 		return ssc.runStatefulStage(ds, parts, flush, wm)
 	case stageNarrow:
-		var chain []narrowStage
+		var chain []*DStream
 		top := ds
 		for {
-			chain = append(chain, narrowStage{name: top.name, factory: top.factory})
+			chain = append(chain, top)
 			if top.parent == nil || top.parent.kind != stageNarrow {
 				break
 			}
@@ -490,7 +484,7 @@ func (ssc *StreamingContext) runStatefulStage(st *DStream, parts [][][]byte, flu
 // enabled each task counts per-stage emissions locally and marks them in
 // one call at task end, keeping the record loop allocation- and
 // atomic-free.
-func (ssc *StreamingContext) runNarrowStage(stages []narrowStage, batchID int64, parts [][][]byte) ([][][]byte, error) {
+func (ssc *StreamingContext) runNarrowStage(stages []*DStream, batchID int64, parts [][][]byte) ([][][]byte, error) {
 	collector := ssc.cluster.cfg.Metrics
 	var handles []*metrics.Stage
 	if collector != nil {
@@ -513,8 +507,10 @@ func (ssc *StreamingContext) runNarrowStage(stages []narrowStage, batchID int64,
 					Charge:    meter.Charge,
 				}
 				var result [][]byte
-				sinkEmit := func(rec []byte) { result = append(result, rec) }
-				handler := sinkEmit
+				handler := func(rec []byte) error {
+					result = append(result, rec)
+					return nil
+				}
 				var counts []int64
 				if handles != nil {
 					counts = make([]int64, len(stages))
@@ -528,15 +524,17 @@ func (ssc *StreamingContext) runNarrowStage(stages []narrowStage, batchID int64,
 					if handles != nil {
 						inner := next
 						count := &counts[i]
-						next = func(rec []byte) {
+						next = func(rec []byte) error {
 							*count++
-							inner(rec)
+							return inner(rec)
 						}
 					}
-					handler = func(rec []byte) { fn(rec, next) }
+					handler = func(rec []byte) error { return fn(rec, next) }
 				}
 				for _, rec := range parts[p] {
-					handler(rec)
+					if err := handler(rec); err != nil {
+						return err
+					}
 				}
 				for i, h := range handles {
 					h.Mark(counts[i])

@@ -191,6 +191,35 @@ func TestTransformationChain(t *testing.T) {
 	}
 }
 
+// TestNarrowStageErrorFailsTheRun: a record error in a narrow stage
+// fails the task, the batch and RunBounded — also when it travels back
+// through a native FlatMap, whose own emit cannot report it.
+func TestNarrowStageErrorFailsTheRun(t *testing.T) {
+	b := broker.New()
+	loadTopic(t, b, "in", 10)
+	boom := errors.New("boom")
+	failing := func(TaskContext) (func([]byte, func([]byte) error) error, error) {
+		return func([]byte, func([]byte) error) error { return boom }, nil
+	}
+	for name, build := range map[string]func(*DStream) *DStream{
+		"direct": func(ds *DStream) *DStream { return ds.Transform(failing) },
+		"behind FlatMap": func(ds *DStream) *DStream {
+			return ds.FlatMap(func(rec []byte, emit func([]byte)) { emit(rec) }).Transform(failing)
+		},
+		"behind Map": func(ds *DStream) *DStream { return ds.Map(bytes.ToUpper).Transform(failing) },
+	} {
+		ssc := newContext(t, newTestCluster(t, ClusterConfig{}), Config{})
+		out := &collector{}
+		build(ssc.KafkaDirectStream(b, "in", 0)).ForeachRecord("collect", out.add)
+		if _, err := ssc.RunBounded(); !errors.Is(err, boom) {
+			t.Errorf("%s: RunBounded = %v, want the stage's error", name, err)
+		}
+		if out.len() != 0 {
+			t.Errorf("%s: %d records reached the output of a failed batch", name, out.len())
+		}
+	}
+}
+
 func TestSampleFractionAndDeterminism(t *testing.T) {
 	b := broker.New()
 	loadTopic(t, b, "in", 10_000)
@@ -225,13 +254,13 @@ func TestRepartitionSplitsWork(t *testing.T) {
 	out := &collector{}
 	ssc.KafkaDirectStream(b, "in", 0).
 		RepartitionDefault().
-		Transform(func(task TaskContext) func([]byte, func([]byte)) {
-			return func(rec []byte, emit func([]byte)) {
+		Transform(func(task TaskContext) (func([]byte, func([]byte) error) error, error) {
+			return func(rec []byte, emit func([]byte) error) error {
 				mu.Lock()
 				partsSeen[task.Partition]++
 				mu.Unlock()
-				emit(rec)
-			}
+				return emit(rec)
+			}, nil
 		}).
 		ForeachRecord("c", out.add)
 	if _, err := ssc.RunBounded(); err != nil {
