@@ -15,7 +15,8 @@
 //	locksafe     struct fields guarded by a sibling mutex are accessed
 //	             under it, and never mixed atomic/plain
 //	hotalloc     per-record paths avoid conversions, fmt.Sprint*,
-//	             unsized growth, and escaping closures
+//	             unsized growth, escaping closures, and whole-record
+//	             copies
 //
 // A finding is suppressed by annotating the flagged line (or the line
 // above it) with `//beamvet:allow <check> <reason>`; the reason is

@@ -125,6 +125,18 @@
 // parallelism 1, as an order-insensitive multiset above it (parallel
 // sink tasks interleave appends into the single output partition).
 //
+// # Record ownership
+//
+// A record's bytes are copied exactly once, when broker.Producer.Send
+// takes them into a log (a list of fixed-size chunks that never moves
+// or clears what it holds). From then on they are immutable: fetches
+// hand out views of the log, the engines' task boundaries, shuffles and
+// buffer-server publishes forward the slice they were given, the beam
+// coders alias their input, and nobody writes into a record. What a
+// boundary costs is its simcost charge, not a copy. The rule is stated
+// on broker.Record; beamvet's hotalloc check, AllocsPerRun pins at each
+// boundary and the harness's input-topic canary enforce it.
+//
 // # Enforced invariants
 //
 // The cross-engine byte-identity contract is enforced at compile time

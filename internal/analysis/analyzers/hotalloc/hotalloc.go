@@ -19,20 +19,26 @@
 //     to a slice declared without capacity outside the loop
 //  4. closures that capture enclosing variables and escape (each
 //     record allocates a fresh closure object)
+//  5. whole-record copies: make([]byte, len(x)) with a copy(_, x) next
+//     to it, and append([]byte(nil), x...). Records are immutable once
+//     Producer.Send has taken them into a log (the ownership rule on
+//     broker.Record), so a defensive copy at a boundary buys nothing
+//     and costs an allocation per record; a serialization the copy
+//     stands for is a simcost charge
 //
 // Entry points are recognized two ways: by name — methods and
 // functions called Process, OnWatermark (Flink delivers a watermark per
-// tuple), ProcessElement, Invoke, Encode, Decode, Mark, MarkAt, or
-// Insert — and by shape: any function literal taking a []byte parameter
-// (the runtimes' ProcessFunc/emit contract). The walk stays within the
-// package (cross-package callees are the callee package's findings) and
-// is bounded at depth 6.
+// tuple), ProcessElement, Invoke, Encode, Decode, Mark, MarkAt, Insert,
+// Send, SendAt, or Collect — and by shape: any function literal taking
+// a []byte parameter (the runtimes' ProcessFunc/emit contract). The
+// walk stays within the package (cross-package callees are the callee
+// package's findings) and is bounded at depth 6.
 //
-// Findings are an inventory, not always a bug: a defensive copy a
-// coder's ownership contract requires is annotated
-// //beamvet:allow hotalloc <reason> — the reason records why the
-// allocation is the product, and the ROADMAP's zero-alloc arc burns
-// down whatever is left.
+// Findings are an inventory, not always a bug: a conversion that is the
+// coder's encoding, or the one copy that takes a record into the log,
+// is annotated //beamvet:allow hotalloc <reason> — the reason records
+// why the allocation is the product, and the ROADMAP's zero-alloc arc
+// burns down whatever is left.
 package hotalloc
 
 import (
@@ -43,14 +49,15 @@ import (
 	"beambench/internal/analysis"
 )
 
-// Scope covers the code records flow through: the three engine
-// runtimes, the keyed operators they deploy (the windowed aggregate in
-// watermark, the join in queries, next to the native queries' record
-// functions), the beam SDK (coders, graphx, runners), the metrics hot
-// hooks, and the obs layer (its gauge setters and snapshot readers sit
-// next to per-record marking; scrape-path allocations must be
-// deliberate and annotated).
+// Scope covers the code records flow through: the broker (where the one
+// copy of a record is made), the three engine runtimes, the keyed
+// operators they deploy (the windowed aggregate in watermark, the join
+// in queries, next to the native queries' record functions), the beam
+// SDK (coders, graphx, runners), the metrics hot hooks, and the obs
+// layer (its gauge setters and snapshot readers sit next to per-record
+// marking; scrape-path allocations must be deliberate and annotated).
 var Scope = []string{
+	"internal/broker",
 	"internal/flink",
 	"internal/spark",
 	"internal/apex",
@@ -64,7 +71,7 @@ var Scope = []string{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc:  "flag allocation patterns (conversions, fmt.Sprint*, unsized growth, escaping closures) on per-record paths",
+	Doc:  "flag allocation patterns (conversions, fmt.Sprint*, unsized growth, escaping closures, whole-record copies) on per-record paths",
 	Run:  run,
 }
 
@@ -79,6 +86,9 @@ var rootNames = map[string]bool{
 	"Mark":           true, // metrics record hooks
 	"MarkAt":         true,
 	"Insert":         true, // sketch insert
+	"Send":           true, // broker producer: where the one record copy lives
+	"SendAt":         true,
+	"Collect":        true, // flink collectors (task-boundary hand-off)
 }
 
 // maxDepth bounds the same-package call-graph walk from entry points.
@@ -224,7 +234,7 @@ func isString(t types.Type) bool {
 	return ok && b.Info()&types.IsString != 0
 }
 
-// scanHot runs the four checks over one hot body, tracking parents
+// scanHot runs the five checks over one hot body, tracking parents
 // (for the compiler-optimized conversion exemptions) and loop depth.
 func scanHot(pass *analysis.Pass, body *ast.BlockStmt, via string, reportf func(token.Pos, string, ...any), report func(analysis.Diagnostic)) {
 	var parents []ast.Node
@@ -250,6 +260,7 @@ func scanHot(pass *analysis.Pass, body *ast.BlockStmt, via string, reportf func(
 		case *ast.CallExpr:
 			checkConversion(pass, n, parents, via, reportf)
 			checkSprint(pass, n, via, report)
+			checkRecordCopy(pass, body, n, parents, via, reportf)
 			if loopDepth > 0 {
 				checkUnsizedMake(pass, n, via, reportf)
 			}
@@ -426,17 +437,110 @@ func isPlainStringVerb(quoted string) bool {
 	return quoted == `"%s"` || quoted == "`%s`"
 }
 
+// checkRecordCopy flags the two spellings of a whole-record copy:
+// append([]byte(nil), x...), and d := make([]byte, len(x)) when the same
+// body goes on to copy(d, x).
+func checkRecordCopy(pass *analysis.Pass, body *ast.BlockStmt, call *ast.CallExpr, parents []ast.Node, via string, reportf func(token.Pos, string, ...any)) {
+	const msg = "%s copies a whole record on a per-record path (via %s): records are immutable once sent, so alias the bytes; if this copy is the one that takes ownership, annotate it"
+	switch builtinName(pass, call) {
+	case "append":
+		if len(call.Args) == 2 && call.Ellipsis.IsValid() && isEmptyByteSlice(pass, call.Args[0]) && isByteSlice(typeOf(pass, call.Args[1])) {
+			reportf(call.Pos(), msg, "append([]byte(nil), x...)", via)
+		}
+	case "make":
+		if len(call.Args) != 2 || !isByteSlice(typeOf(pass, call.Args[0])) {
+			return
+		}
+		src := lenOperand(pass, call.Args[1])
+		dst := assignedVar(pass, call, parents)
+		if src == nil || dst == nil || !isByteSlice(typeOf(pass, src)) {
+			return
+		}
+		want := types.ExprString(src)
+		copied := false
+		ast.Inspect(body, func(n ast.Node) bool {
+			c, ok := n.(*ast.CallExpr)
+			if !ok || builtinName(pass, c) != "copy" || len(c.Args) != 2 {
+				return !copied
+			}
+			if to, ok := ast.Unparen(c.Args[0]).(*ast.Ident); ok && pass.TypesInfo.ObjectOf(to) == dst && types.ExprString(c.Args[1]) == want {
+				copied = true
+			}
+			return !copied
+		})
+		if copied {
+			reportf(call.Pos(), msg, "make([]byte, len(x)) + copy", via)
+		}
+	}
+}
+
+// assignedVar returns the variable a call's result is assigned to in a
+// single-value assignment or definition, or nil.
+func assignedVar(pass *analysis.Pass, call *ast.CallExpr, parents []ast.Node) types.Object {
+	if len(parents) == 0 {
+		return nil
+	}
+	as, ok := parents[len(parents)-1].(*ast.AssignStmt)
+	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || as.Rhs[0] != call {
+		return nil
+	}
+	id, ok := as.Lhs[0].(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	return pass.TypesInfo.ObjectOf(id)
+}
+
+// builtinName returns the name of the builtin a call invokes, or "".
+func builtinName(pass *analysis.Pass, call *ast.CallExpr) string {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); !ok {
+		return ""
+	}
+	return id.Name
+}
+
+// typeOf is TypesInfo.TypeOf with an invalid type in place of nil, so
+// the type predicates need no nil check.
+func typeOf(pass *analysis.Pass, e ast.Expr) types.Type {
+	if t := pass.TypesInfo.TypeOf(e); t != nil {
+		return t
+	}
+	return types.Typ[types.Invalid]
+}
+
+// lenOperand returns x when e is len(x).
+func lenOperand(pass *analysis.Pass, e ast.Expr) ast.Expr {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || builtinName(pass, call) != "len" || len(call.Args) != 1 {
+		return nil
+	}
+	return call.Args[0]
+}
+
+// isEmptyByteSlice matches []byte(nil) and []byte{}.
+func isEmptyByteSlice(pass *analysis.Pass, e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		tv, ok := pass.TypesInfo.Types[e.Fun]
+		if !ok || !tv.IsType() || !isByteSlice(tv.Type) || len(e.Args) != 1 {
+			return false
+		}
+		av, ok := pass.TypesInfo.Types[e.Args[0]]
+		return ok && av.IsNil()
+	case *ast.CompositeLit:
+		return len(e.Elts) == 0 && isByteSlice(typeOf(pass, e))
+	}
+	return false
+}
+
 // checkUnsizedMake flags make(map[...]...)  without a size hint and
 // make([]T, 0) without capacity inside a per-record loop.
 func checkUnsizedMake(pass *analysis.Pass, call *ast.CallExpr, via string, reportf func(token.Pos, string, ...any)) {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "make" {
-		return
-	}
-	if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); !ok {
-		return
-	}
-	if len(call.Args) == 0 {
+	if builtinName(pass, call) != "make" || len(call.Args) == 0 {
 		return
 	}
 	t := pass.TypesInfo.TypeOf(call.Args[0])
@@ -472,11 +576,7 @@ func checkAppendGrowth(pass *analysis.Pass, fnBody *ast.BlockStmt, as *ast.Assig
 		if !ok || i >= len(as.Lhs) {
 			continue
 		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || id.Name != "append" {
-			continue
-		}
-		if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); !ok {
+		if builtinName(pass, call) != "append" {
 			continue
 		}
 		lhs, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident)

@@ -1,6 +1,6 @@
 // Package a is a hotalloc fixture: allocation patterns on per-record
-// paths — conversions, fmt.Sprint*, unsized growth in loops, and
-// escaping closures — reached from the named entry points and through
+// paths — conversions, fmt.Sprint*, unsized growth in loops, escaping
+// closures, and whole-record copies — reached from the named entry points and through
 // the same-package call graph.
 package a
 
@@ -68,6 +68,29 @@ func (o *op) ProcessElement(rec []byte) error {
 	}
 	func() { limit++ }() // immediately invoked: no diagnostic
 	return nil
+}
+
+type hop struct{ out chan []byte }
+
+// Collect copies the record before handing it on, in both spellings: a
+// defensive copy of bytes nobody writes into.
+func (h *hop) Collect(rec []byte) error {
+	wire := make([]byte, len(rec)) // want `make\(\[\]byte, len\(x\)\) \+ copy copies a whole record on a per-record path`
+	copy(wire, rec)
+	h.out <- wire
+	h.out <- append([]byte(nil), rec...)  // want `append\(\[\]byte\(nil\), x...\) copies a whole record on a per-record path`
+	h.out <- append([]byte{}, rec[1:]...) // want `append\(\[\]byte\(nil\), x...\) copies a whole record`
+	return nil
+}
+
+// Send sizes a frame from the record and appends into it: a new
+// encoding, not a copy of the record, and nothing is flagged.
+func (h *hop) Send(rec []byte) {
+	frame := make([]byte, len(rec)+1)
+	frame[0] = byte(len(rec))
+	copy(frame[1:], rec)
+	scratch := make([]byte, len(rec)) // sized from the record but never filled from it
+	h.out <- append(frame, scratch...)
 }
 
 // setup is not reachable from any per-record entry point: allocation

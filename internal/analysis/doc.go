@@ -60,15 +60,19 @@
 //
 // hotalloc — code reachable from the per-record entry points (methods
 // named Process/ProcessElement/Invoke/Encode/Decode/Mark/MarkAt/
-// Insert and function literals taking []byte, walked through the
-// same-package call graph) must avoid []byte<->string conversions
-// (the compiler-optimized map-index and comparison forms are exempt),
-// fmt.Sprint*, unsized make or append growth inside per-record loops
-// (three-argument make and buf[:0] scratch reuse are capacity-managed
-// and exempt), and closures that capture enclosing variables and
-// escape. Findings that are the operation's contract — a coder's
-// ownership copy, the fused-stage emitter closure whose cost the
-// benchmark measures — are allow-annotated with the rationale, making
+// Insert/Send/SendAt/Collect and function literals taking []byte,
+// walked through the same-package call graph) must avoid
+// []byte<->string conversions (the compiler-optimized map-index and
+// comparison forms are exempt), fmt.Sprint*, unsized make or append
+// growth inside per-record loops (three-argument make and buf[:0]
+// scratch reuse are capacity-managed and exempt), closures that
+// capture enclosing variables and escape, and whole-record copies
+// (d := make([]byte, len(x)) with copy(d, x), append([]byte(nil),
+// x...): records are immutable once Producer.Send has taken them into
+// a log, see broker.Record). Findings that are the operation's
+// contract — a string coder's conversion, the producer's one copy of a
+// record, the fused-stage emitter closure whose cost the benchmark
+// measures — are allow-annotated with the rationale, making
 // the annotation set the repo's per-record allocation inventory.
 //
 // # Suppressing a finding

@@ -55,6 +55,11 @@ type OperatorContext interface {
 }
 
 // InputOperator produces tuples.
+//
+// Tuples are immutable once emitted (the ownership rule on
+// broker.Record): the stream, the downstream operators and the output
+// may keep an emitted slice and alias into it, and the emitter must not
+// write into it afterwards. No buffer-server publish copies a tuple.
 type InputOperator interface {
 	// NextTuples emits up to max tuples and reports whether the source
 	// is exhausted.

@@ -281,13 +281,11 @@ func CollectOutput(dst *TupleCollector) OutputFactory {
 	}
 }
 
-// Process stores a copy of the tuple.
+// Process stores the tuple; tuples are immutable once emitted.
 func (c *TupleCollector) Process(t []byte) error {
-	cp := make([]byte, len(t))
-	copy(cp, t)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tuples = append(c.tuples, cp)
+	c.tuples = append(c.tuples, t)
 	return nil
 }
 

@@ -821,7 +821,7 @@ func (ss *streamSender) publishWindow(tuples [][]byte) error {
 		if err != nil {
 			return err
 		}
-		parts[i] = append(parts[i], cloneTuple(t))
+		parts[i] = append(parts[i], t)
 	}
 	for i, target := range ss.targets {
 		if err := ss.send(target, streamBatch{tuples: parts[i], windowEnd: true, from: ss.fromIdx}, len(parts[i])); err != nil {
@@ -838,7 +838,7 @@ func (ss *streamSender) publishTuple(t []byte) error {
 	if err != nil {
 		return err
 	}
-	return ss.send(ss.targets[i], streamBatch{tuples: [][]byte{cloneTuple(t)}, from: ss.fromIdx}, 1)
+	return ss.send(ss.targets[i], streamBatch{tuples: [][]byte{t}, from: ss.fromIdx}, 1)
 }
 
 // publishWatermark publishes a watermark control event downstream: to
@@ -882,10 +882,4 @@ func (ss *streamSender) send(target chan streamBatch, b streamBatch, n int) erro
 	case <-ss.stop:
 		return errAttemptStopped
 	}
-}
-
-func cloneTuple(t []byte) []byte {
-	cp := make([]byte, len(t))
-	copy(cp, t)
-	return cp
 }

@@ -24,15 +24,65 @@ func TestBytesCoderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBytesCoderIsolation(t *testing.T) {
+// TestCodersAliasTheirInput pins the ownership rule on the coders: the
+// bytes coder's frame is its element, and the composite coders decode
+// []byte components as capacity-capped sub-slices of the frame, so a
+// decode costs the boxing of the result and no copy.
+func TestCodersAliasTheirInput(t *testing.T) {
 	src := []byte("data")
 	enc, err := (BytesCoder{}).Encode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src[0] = 'X'
-	if string(enc) != "data" {
-		t.Error("encode did not copy its input")
+	dec, err := (BytesCoder{}).Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &enc[0] != &src[0] || &dec.([]byte)[0] != &src[0] {
+		t.Error("bytes coder copied its input")
+	}
+	var elem any = src
+	if n := testing.AllocsPerRun(100, func() {
+		enc, _ := (BytesCoder{}).Encode(elem)
+		elem, _ = (BytesCoder{}).Decode(enc)
+	}); n > 1 {
+		t.Errorf("bytes round trip: %v allocations, want at most the boxing of the decoded slice", n)
+	}
+
+	inFrame := func(frame, part []byte) bool {
+		if len(part) == 0 {
+			return true
+		}
+		for i := range frame {
+			if &frame[i] == &part[0] {
+				return cap(part) == len(part) && i+len(part) <= len(frame)
+			}
+		}
+		return false
+	}
+	kvCoder := KVCoder{Key: BytesCoder{}, Value: BytesCoder{}}
+	frame, err := kvCoder.Encode(KV{Key: []byte("key"), Value: []byte("value")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := kvCoder.Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kv := got.(KV); !inFrame(frame, kv.Key.([]byte)) || !inFrame(frame, kv.Value.([]byte)) {
+		t.Error("kv coder: decoded key/value are not capped sub-slices of the frame")
+	}
+
+	frame, err = (KafkaRecordCoder{}).Encode(KafkaRecord{Topic: "t", Key: []byte("key"), Value: []byte("value")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = (KafkaRecordCoder{}).Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got.(KafkaRecord); !inFrame(frame, r.Key) || !inFrame(frame, r.Value) {
+		t.Error("kafka record coder: decoded key/value are not capped sub-slices of the frame")
 	}
 }
 

@@ -15,6 +15,12 @@
 // Producers batch by size with configurable acknowledgment levels;
 // consumers poll by explicit partition assignment or via a minimal
 // consumer-group coordinator. Per-call charges follow the simcost model.
+//
+// Each partition's log is a sequence of fixed-size chunks (log.go), so
+// an append never moves or clears what is already stored. A record's
+// bytes are copied once, when Producer.Send takes them into a batch;
+// every read — Poll, Records, VisitRecords, SaveSnapshot — hands out
+// views of the stored bytes (see Record).
 package broker
 
 import (
@@ -93,6 +99,15 @@ func (c *TopicConfig) validate() error {
 }
 
 // Record is a consumed record together with its log coordinates.
+//
+// Record ownership, the one rule for the whole record path: a record's
+// bytes are copied exactly once, when Producer.Send takes them into a
+// log; from then on they are immutable. Key and Value are read-only
+// views of the log — whoever is handed a record may keep it for as long
+// as it likes and alias into it, and nobody writes into it. The engines'
+// emit contracts and the beam coders pass records on under the same
+// rule, so no boundary between source and sink copies one again; what
+// a hop, shuffle or buffer-server publish costs is its simcost charge.
 type Record struct {
 	Topic     string
 	Partition int
@@ -328,9 +343,10 @@ func (b *Broker) Timestamps(name string, part int) ([]time.Time, error) {
 	return p.timestamps()
 }
 
-// Records returns a copy of one partition's records in offset order —
-// the bulk read the result calculator uses to pair output payloads with
-// their source inputs without driving a consumer.
+// Records returns one partition's records in offset order — the bulk
+// read the result calculator uses to pair output payloads with their
+// source inputs without driving a consumer. The slice is the caller's;
+// the Key and Value in it are views of the log (see Record).
 func (b *Broker) Records(name string, part int) ([]Record, error) {
 	p, err := b.partition(name, part)
 	if err != nil {
@@ -340,12 +356,10 @@ func (b *Broker) Records(name string, part int) ([]Record, error) {
 }
 
 // VisitRecords calls fn for every record of one partition in offset
-// order without copying payloads: the Record borrows the stored key and
-// value slices, which must not be retained or modified after fn
-// returns. The partition is locked for the duration, so fn must not
-// call back into the broker. This is the allocation-free bulk read the
-// harness's per-run latency pairing runs on its hot path; use Records
-// for an owned copy.
+// order, allocating nothing. The partition is locked for the duration,
+// so fn must not call back into the broker. This is the bulk read the
+// harness's per-run latency pairing runs on its hot path; Records
+// returns the same views in a slice.
 func (b *Broker) VisitRecords(name string, part int, fn func(Record) error) error {
 	p, err := b.partition(name, part)
 	if err != nil {
@@ -397,21 +411,14 @@ type topic struct {
 	parts []*partition
 }
 
-// storedRecord is the on-log representation of a record.
-type storedRecord struct {
-	key   []byte
-	value []byte
-	ts    time.Time
-}
-
 // partition is one append-only log with its own lock and waiters.
 // Waiters block on waitCh, which is closed and replaced on every state
 // change (append, offline toggle, close/delete), so a waiter that
 // snapshots state and channel under one lock acquisition can never miss
 // a wake-up.
 type partition struct {
-	mu      sync.Mutex
-	records []storedRecord
+	mu  sync.Mutex
+	log recordLog
 	// consumed is the highest offset any consumer has fetched through,
 	// the broker-side signal the lag monitor reads.
 	consumed int64
@@ -439,7 +446,7 @@ type partitionState struct {
 func (p *partition) watch() (partitionState, <-chan struct{}) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return partitionState{end: int64(len(p.records)), offline: p.offline, gone: p.gone}, p.waitCh
+	return partitionState{end: int64(p.log.len()), offline: p.offline, gone: p.gone}, p.waitCh
 }
 
 // notifyLocked wakes all current waiters. Caller must hold p.mu.
@@ -448,33 +455,37 @@ func (p *partition) notifyLocked() {
 	p.waitCh = make(chan struct{})
 }
 
-// append stores records and returns the base offset assigned. Timestamps
-// are forced to be non-decreasing within the partition so the result
-// calculator's first/last arithmetic is well defined even when the OS
-// clock has coarse granularity.
+// append stores records and returns the base offset assigned. The log
+// takes the entries (it copies them into its chunks) and their key and
+// value bytes as they are; recs itself stays the caller's to reuse.
+// Timestamps are forced to be non-decreasing within the partition — in
+// recs, before they are stored — so the result calculator's first/last
+// arithmetic is well defined even when the OS clock has coarse
+// granularity.
 func (p *partition) append(recs []storedRecord) (int64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.offline {
 		return 0, ErrPartitionOffline
 	}
-	base := int64(len(p.records))
+	base := int64(p.log.len())
 	var lastTS time.Time
-	if len(p.records) > 0 {
-		lastTS = p.records[len(p.records)-1].ts
+	if base > 0 {
+		lastTS = p.log.last().ts
 	}
-	for _, r := range recs {
-		if r.ts.Before(lastTS) {
-			r.ts = lastTS
+	for i := range recs {
+		if recs[i].ts.Before(lastTS) {
+			recs[i].ts = lastTS
 		}
-		lastTS = r.ts
-		p.records = append(p.records, r)
+		lastTS = recs[i].ts
 	}
+	p.log.append(recs)
 	p.notifyLocked()
 	return base, nil
 }
 
-// fetch copies up to max records starting at offset into Record values.
+// fetch returns up to max records starting at offset. Key and Value
+// alias the log (see Record); the one allocation is the result slice.
 func (p *partition) fetch(topicName string, part int, offset int64, max int) ([]Record, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -484,32 +495,37 @@ func (p *partition) fetch(topicName string, part int, offset int64, max int) ([]
 	if offset < 0 {
 		offset = 0
 	}
-	if offset >= int64(len(p.records)) || max <= 0 {
+	end := int64(p.log.len())
+	if offset >= end || max <= 0 {
 		return nil, nil
 	}
-	end := offset + int64(max)
-	if end > int64(len(p.records)) {
-		end = int64(len(p.records))
+	if end-offset > int64(max) {
+		end = offset + int64(max)
 	}
-	out := make([]Record, 0, end-offset)
-	for i := offset; i < end; i++ {
-		sr := p.records[i]
-		out = append(out, Record{
-			Topic:     topicName,
-			Partition: part,
-			Offset:    i,
-			Key:       cloneBytes(sr.key),
-			Value:     cloneBytes(sr.value),
-			Timestamp: sr.ts,
-		})
+	out := make([]Record, end-offset)
+	for i := range out {
+		out[i] = p.recordAtLocked(topicName, part, int(offset)+i)
 	}
 	return out, nil
+}
+
+// recordAtLocked is the consumer's view of log entry i. Caller must hold p.mu.
+func (p *partition) recordAtLocked(topicName string, part, i int) Record {
+	sr := p.log.at(i)
+	return Record{
+		Topic:     topicName,
+		Partition: part,
+		Offset:    int64(i),
+		Key:       sr.key,
+		Value:     sr.value,
+		Timestamp: sr.ts,
+	}
 }
 
 func (p *partition) endOffset() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return int64(len(p.records))
+	return int64(p.log.len())
 }
 
 func (p *partition) consumedOffset() int64 {
@@ -534,16 +550,8 @@ func (p *partition) visit(topicName string, part int, fn func(Record) error) err
 	if p.offline {
 		return ErrPartitionOffline
 	}
-	for i, sr := range p.records {
-		rec := Record{
-			Topic:     topicName,
-			Partition: part,
-			Offset:    int64(i),
-			Key:       sr.key,
-			Value:     sr.value,
-			Timestamp: sr.ts,
-		}
-		if err := fn(rec); err != nil {
+	for i := range p.log.len() {
+		if err := fn(p.recordAtLocked(topicName, part, i)); err != nil {
 			return err
 		}
 	}
@@ -556,9 +564,9 @@ func (p *partition) timestamps() ([]time.Time, error) {
 	if p.offline {
 		return nil, ErrPartitionOffline
 	}
-	out := make([]time.Time, len(p.records))
-	for i, r := range p.records {
-		out[i] = r.ts
+	out := make([]time.Time, p.log.len())
+	for i := range out {
+		out[i] = p.log.at(i).ts
 	}
 	return out, nil
 }
@@ -566,10 +574,10 @@ func (p *partition) timestamps() ([]time.Time, error) {
 func (p *partition) timeSpan() (first, last time.Time, n int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.records) == 0 {
+	if p.log.len() == 0 {
 		return time.Time{}, time.Time{}, 0
 	}
-	return p.records[0].ts, p.records[len(p.records)-1].ts, int64(len(p.records))
+	return p.log.at(0).ts, p.log.last().ts, int64(p.log.len())
 }
 
 func (p *partition) setOffline(offline bool) {
@@ -586,13 +594,4 @@ func (p *partition) markGone() {
 	defer p.mu.Unlock()
 	p.gone = true
 	p.notifyLocked()
-}
-
-func cloneBytes(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }

@@ -380,38 +380,6 @@ func TestEndOffsetsAndRecordCount(t *testing.T) {
 	}
 }
 
-func TestFetchIsolation(t *testing.T) {
-	// Mutating fetched records must not corrupt the log.
-	b := New()
-	mustCreate(t, b, "t", TopicConfig{Partitions: 1})
-	p := newProducer(t, b, ProducerConfig{BatchSize: 1})
-	if err := p.Send("t", []byte("k"), []byte("value")); err != nil {
-		t.Fatal(err)
-	}
-	c1 := newConsumer(t, b, ConsumerConfig{})
-	if err := c1.Assign("t", 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := c1.Poll()
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("poll: %v %v", recs, err)
-	}
-	recs[0].Value[0] = 'X'
-	recs[0].Key[0] = 'X'
-
-	c2 := newConsumer(t, b, ConsumerConfig{})
-	if err := c2.Assign("t", 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	recs2, err := c2.Poll()
-	if err != nil || len(recs2) != 1 {
-		t.Fatalf("poll2: %v %v", recs2, err)
-	}
-	if string(recs2[0].Value) != "value" || string(recs2[0].Key) != "k" {
-		t.Errorf("log corrupted by consumer mutation: %q %q", recs2[0].Key, recs2[0].Value)
-	}
-}
-
 func TestProducerSendIsolation(t *testing.T) {
 	// Mutating the caller's buffer after Send must not affect the log.
 	b := New()

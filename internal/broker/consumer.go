@@ -109,7 +109,11 @@ func (c *Consumer) Poll() ([]Record, error) {
 			c.chargeFetch(len(out))
 			return out, err
 		}
-		out = append(out, recs...)
+		if out == nil {
+			out = recs // the common single-partition poll: no second slice
+		} else {
+			out = append(out, recs...)
+		}
 		budget -= len(recs)
 		if budget <= 0 {
 			break

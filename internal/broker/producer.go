@@ -97,12 +97,19 @@ func (c *ProducerConfig) validate() error {
 // broker in batches. A Producer is not safe for concurrent use; each
 // producing goroutine owns its own (matching the meter discipline).
 type Producer struct {
-	b        *Broker
-	cfg      ProducerConfig
-	meter    *simcost.Meter
-	bufs     map[topicPartition][]storedRecord
-	oldestAt map[topicPartition]time.Time
-	closed   bool
+	b      *Broker
+	cfg    ProducerConfig
+	meter  *simcost.Meter
+	bufs   map[topicPartition]*batch
+	closed bool
+}
+
+// batch is the unflushed tail of one topic-partition. Its buffer is
+// kept across flushes: the log copies the entries into its own chunks.
+type batch struct {
+	recs []storedRecord
+	// oldestAt is when the first of recs was buffered, for linger.
+	oldestAt time.Time
 }
 
 type topicPartition struct {
@@ -116,23 +123,31 @@ func (b *Broker) NewProducer(cfg ProducerConfig) (*Producer, error) {
 		return nil, err
 	}
 	return &Producer{
-		b:        b,
-		cfg:      cfg,
-		meter:    b.sim.NewMeter(),
-		bufs:     make(map[topicPartition][]storedRecord),
-		oldestAt: make(map[topicPartition]time.Time),
+		b:     b,
+		cfg:   cfg,
+		meter: b.sim.NewMeter(),
+		bufs:  make(map[topicPartition]*batch),
 	}, nil
 }
 
 // Send buffers one record with the broker clock as its CreateTime and
-// flushes the affected partition batch when full.
+// flushes the affected partition batch when full. The clock is read
+// once: the same instant is the CreateTime and the linger reference.
 func (p *Producer) Send(topicName string, key, value []byte) error {
-	return p.SendAt(topicName, key, value, p.b.now())
+	now := p.b.now()
+	return p.send(topicName, key, value, now, now)
 }
 
 // SendAt buffers one record with an explicit CreateTime timestamp.
 // For LogAppendTime topics the broker overwrites it at append.
 func (p *Producer) SendAt(topicName string, key, value []byte, ts time.Time) error {
+	return p.send(topicName, key, value, ts, p.b.now())
+}
+
+// send takes key and value into the partition's batch. This is the one
+// place a record's bytes are copied (see Record): callers such as
+// cmd/datasender hand in a buffer they go on to overwrite.
+func (p *Producer) send(topicName string, key, value []byte, ts, now time.Time) error {
 	if p.closed {
 		return ErrClosed
 	}
@@ -145,35 +160,39 @@ func (p *Producer) SendAt(topicName string, key, value []byte, ts time.Time) err
 		return fmt.Errorf("%w: partitioner chose %d of %d", ErrUnknownPartition, part, len(t.parts))
 	}
 	tp := topicPartition{topic: topicName, part: part}
-	if len(p.bufs[tp]) == 0 {
-		p.oldestAt[tp] = p.b.now()
+	bt := p.bufs[tp]
+	if bt == nil {
+		bt = &batch{}
+		p.bufs[tp] = bt
 	}
-	p.bufs[tp] = append(p.bufs[tp], storedRecord{
-		key:   cloneBytes(key),
-		value: cloneBytes(value),
-		ts:    ts,
-	})
-	if len(p.bufs[tp]) >= p.cfg.BatchSize || p.lingerExpired(tp) {
-		return p.flushPartition(tp)
+	if len(bt.recs) == 0 {
+		bt.oldestAt = now
+	}
+	bt.recs = append(bt.recs, storedRecord{key: cloneBytes(key), value: cloneBytes(value), ts: ts})
+	// A batch is due when full or when its oldest record has waited
+	// longer than the configured linger.
+	if len(bt.recs) >= p.cfg.BatchSize || (p.cfg.Linger >= 0 && now.Sub(bt.oldestAt) >= p.cfg.Linger) {
+		return p.flushBatch(tp, bt)
 	}
 	return nil
 }
 
-// lingerExpired reports whether the oldest buffered record of the
-// partition has waited longer than the configured linger.
-func (p *Producer) lingerExpired(tp topicPartition) bool {
-	if p.cfg.Linger < 0 {
-		return false
+// cloneBytes is the record path's one copy; nil stays nil.
+func cloneBytes(b []byte) []byte {
+	if b == nil {
+		return nil
 	}
-	oldest, ok := p.oldestAt[tp]
-	return ok && p.b.now().Sub(oldest) >= p.cfg.Linger
+	//beamvet:allow hotalloc the one copy of a record's bytes: the caller keeps its buffer, the log keeps this
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
 }
 
 // Flush sends all buffered batches.
 func (p *Producer) Flush() error {
 	var firstErr error
-	for tp := range p.bufs {
-		if err := p.flushPartition(tp); err != nil && firstErr == nil {
+	for tp, bt := range p.bufs {
+		if err := p.flushBatch(tp, bt); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -191,13 +210,14 @@ func (p *Producer) Close() error {
 	return err
 }
 
-func (p *Producer) flushPartition(tp topicPartition) error {
-	recs := p.bufs[tp]
+// flushBatch appends the batch to its partition. The batch is emptied
+// whether or not the append succeeds; its buffer is reused.
+func (p *Producer) flushBatch(tp topicPartition, bt *batch) error {
+	recs := bt.recs
 	if len(recs) == 0 {
 		return nil
 	}
-	delete(p.bufs, tp)
-	delete(p.oldestAt, tp)
+	bt.recs = recs[:0]
 
 	t, err := p.b.topic(tp.topic)
 	if err != nil {
@@ -238,8 +258,8 @@ func (p *Producer) chargeProduce(n int) {
 // Buffered reports the number of unflushed records, for tests.
 func (p *Producer) Buffered() int {
 	var n int
-	for _, recs := range p.bufs {
-		n += len(recs)
+	for _, bt := range p.bufs {
+		n += len(bt.recs)
 	}
 	return n
 }

@@ -97,13 +97,10 @@ func (b *Broker) topicNamesLocked() []string {
 func (p *partition) snapshot() partitionSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ps := partitionSnapshot{Records: make([]recordSnapshot, len(p.records))}
-	for i, r := range p.records {
-		ps.Records[i] = recordSnapshot{
-			Key:   cloneBytes(r.key),
-			Value: cloneBytes(r.value),
-			TS:    r.ts,
-		}
+	ps := partitionSnapshot{Records: make([]recordSnapshot, p.log.len())}
+	for i := range ps.Records {
+		r := p.log.at(i)
+		ps.Records[i] = recordSnapshot{Key: r.key, Value: r.value, TS: r.ts}
 	}
 	return ps
 }

@@ -14,13 +14,11 @@ func NewRecordCollector() *RecordCollector {
 	return &RecordCollector{}
 }
 
-// Invoke stores a copy of the record.
+// Invoke stores the record; records are immutable once emitted.
 func (c *RecordCollector) Invoke(rec []byte) error {
-	cp := make([]byte, len(rec))
-	copy(cp, rec)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.records = append(c.records, cp)
+	c.records = append(c.records, rec)
 	return nil
 }
 
@@ -34,17 +32,12 @@ func (c *RecordCollector) Len() int {
 	return len(c.records)
 }
 
-// Records returns a copy of the collected records in arrival order.
+// Records returns the collected records in arrival order. The slice is
+// the caller's; the records in it are read-only.
 func (c *RecordCollector) Records() [][]byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([][]byte, len(c.records))
-	for i, r := range c.records {
-		cp := make([]byte, len(r))
-		copy(cp, r)
-		out[i] = cp
-	}
-	return out
+	return append([][]byte(nil), c.records...)
 }
 
 // Strings returns the collected records as strings in arrival order.

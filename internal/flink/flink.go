@@ -23,6 +23,11 @@ import (
 // Collector receives records emitted by an operator. Collect reports an
 // error when the job is shutting down; operators must stop emitting and
 // return it.
+//
+// Records are immutable once emitted (the ownership rule on
+// broker.Record): the collector and everything downstream may keep the
+// slice and alias into it, and the emitting operator must not write
+// into it afterwards. No task boundary copies a record.
 type Collector interface {
 	Collect(record []byte) error
 }

@@ -663,8 +663,9 @@ func (m multiCollector) Collect(rec []byte) error {
 	return nil
 }
 
-// edgeSender ships records across a task boundary: it serializes (copies)
-// the record, charges the per-record network hop, and delivers to the
+// edgeSender ships records across a task boundary: it charges the
+// per-record network hop — the charge is the serialization; the record
+// itself is immutable and crosses as it is — and delivers to the
 // downstream subtask chosen by the edge's partitioning. Watermarks are
 // control events: they broadcast to every downstream subtask under this
 // sender's identity, so each receiver can hold its combined watermark at
@@ -680,8 +681,6 @@ type edgeSender struct {
 }
 
 func (e *edgeSender) Collect(rec []byte) error {
-	wire := make([]byte, len(rec))
-	copy(wire, rec)
 	e.meter.Charge(e.hopCost)
 
 	var target chan streamElement
@@ -698,7 +697,7 @@ func (e *edgeSender) Collect(rec []byte) error {
 		target = e.edge.targets[e.rr%len(e.edge.targets)]
 		e.rr++
 	}
-	return e.send(target, streamElement{rec: wire})
+	return e.send(target, streamElement{rec: rec})
 }
 
 // sendWatermark broadcasts one watermark control event; regressions and

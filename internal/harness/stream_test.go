@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -47,7 +48,31 @@ func runModeOutputs(t *testing.T, r *Runner, setup Setup, mode IngestMode) []str
 	if err := <-senderDone; err != nil {
 		t.Fatalf("%s %s (%s): sender: %v", setup.Label(), setup.Query, mode, err)
 	}
+	checkInputUntouched(t, b, r.dataset)
 	return outputPayloads(t, b)
+}
+
+// checkInputUntouched is the immutability canary of the record path.
+// Sources hand out views of the input log and no boundary downstream
+// copies a record (the ownership rule on broker.Record), so an operator
+// that writes into a record it was handed writes into the log: after a
+// run the input topic must still be byte-equal to the dataset.
+func checkInputUntouched(t *testing.T, b *broker.Broker, dataset [][]byte) {
+	t.Helper()
+	i := 0
+	err := b.VisitRecords(inputTopic, 0, func(rec broker.Record) error {
+		if i < len(dataset) && !bytes.Equal(rec.Value, dataset[i]) {
+			t.Errorf("input record %d was written into during the run: %q, sent as %q", i, rec.Value, dataset[i])
+		}
+		i++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != len(dataset) {
+		t.Errorf("input topic holds %d records, dataset has %d", i, len(dataset))
+	}
 }
 
 func outputPayloads(t *testing.T, b *broker.Broker) []string {
@@ -160,6 +185,7 @@ func TestDirectRunnerStreamMatchesPreload(t *testing.T) {
 		if err := <-senderDone; err != nil {
 			t.Fatal(err)
 		}
+		checkInputUntouched(t, b, r.dataset)
 		return outputPayloads(t, b)
 	}
 	for _, q := range queries.All() {

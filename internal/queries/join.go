@@ -154,6 +154,7 @@ func (s *JoinState) Process(tagged []byte, _ func([]byte) error) error {
 	var query []byte
 	var rank int64
 	if side == 'A' {
+		//beamvet:allow hotalloc detaches the few query bytes the pane keeps from the tagged frame, which would otherwise stay live until the pane fires
 		query = append([]byte(nil), QueryText(payload)...)
 	} else if rank, err = ItemRank(payload); err != nil {
 		return err
@@ -299,6 +300,7 @@ func (r *joinReference) add(rec []byte, ordinal int) error {
 			return err
 		}
 	}
+	// Like JoinState.Process: keep the query text, not the whole record.
 	q := append([]byte(nil), QueryText(rec)...)
 	for _, a := range r.state.Panes(et, aol.FirstColumn(rec)) {
 		a.queries = append(a.queries, joinRefQuery{text: q, ord: ordinal})

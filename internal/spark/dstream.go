@@ -132,6 +132,11 @@ const (
 
 // narrowFn processes one record, emitting zero or more records. An
 // error, its own or one emit returned, fails the task and the batch.
+//
+// Records are immutable once emitted (the ownership rule on
+// broker.Record): the next stage, a shuffle and the output may keep an
+// emitted slice and alias into it, and fn must not write into it
+// afterwards. No stage boundary or shuffle copies a record.
 type narrowFn = func(rec []byte, emit func([]byte) error) error
 
 // narrowFactory builds the per-task function for a (batch, partition),

@@ -555,8 +555,9 @@ func (ssc *StreamingContext) runNarrowStage(stages []*DStream, batchID int64, pa
 
 // shuffle redistributes records into width partitions — round-robin, or
 // by key hash when keyFn is set (RepartitionByKey) so equal keys land in
-// one partition — charging the shuffle write/fetch cost and copying each
-// record (serialize to shuffle files, deserialize on fetch).
+// one partition — charging the shuffle write/fetch cost per record. The
+// charge is the serialize-to-shuffle-files/deserialize-on-fetch work;
+// the records themselves are immutable and move as they are.
 func (ssc *StreamingContext) shuffle(parts [][][]byte, width int, keyFn func([]byte) ([]byte, error)) ([][][]byte, error) {
 	out := make([][][]byte, width)
 	meter := ssc.cluster.cfg.Sim.NewMeter()
@@ -564,8 +565,6 @@ func (ssc *StreamingContext) shuffle(parts [][][]byte, width int, keyFn func([]b
 	i := 0
 	for _, part := range parts {
 		for _, rec := range part {
-			cp := make([]byte, len(rec))
-			copy(cp, rec)
 			meter.Charge(ssc.cluster.cfg.Costs.SparkShufflePerRecord)
 			target := i % width
 			if keyFn != nil {
@@ -575,7 +574,7 @@ func (ssc *StreamingContext) shuffle(parts [][][]byte, width int, keyFn func([]b
 				}
 				target = keyhash.Partition(key, width)
 			}
-			out[target] = append(out[target], cp)
+			out[target] = append(out[target], rec)
 			i++
 		}
 	}

@@ -27,6 +27,11 @@ import (
 // returning. Engines bind emit once per operator instance and pass the
 // same value on every call — that is what lets an operator park it
 // without allocating on a per-record path.
+//
+// Records are immutable (the ownership rule on broker.Record): an
+// operator may keep rec, and sub-slices of it, in its state for as long
+// as it likes and must not write into it; the same holds downstream for
+// what it emits.
 type Operator interface {
 	// Process consumes one record.
 	Process(rec []byte, emit func([]byte) error) error
