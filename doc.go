@@ -39,7 +39,11 @@
 // runner's paper-era stateful rejection (ErrStatefulUnsupported) is
 // lifted. Each engine deploys any such operator through one hook that
 // adds its firing clock and nothing else: Flink tuple-at-a-time
-// (DataStream.KeyedProcess behind KeyBy), Spark Streaming at
+// (DataStream.KeyedProcess behind KeyBy; between tasks records and
+// watermarks travel in order in recycled 64-element network buffers,
+// shipped when full, when the sender runs out of input and at end of
+// input, so a hop costs its NetworkHopPerRecord charge and not a
+// channel operation per record), Spark Streaming at
 // micro-batch boundaries (DStream.Stateful, a keyed state path
 // persisting across batches; RepartitionByKey reunites keys above
 // parallelism 1), Apex at the watermark control events of its

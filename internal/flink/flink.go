@@ -9,6 +9,17 @@
 // the native grep job (Figure 12) collapses into one chained task, while
 // the Beam runner emits per-primitive operators with chaining disabled
 // (Figure 13), paying a network hop and coder costs at every boundary.
+//
+// A boundary's cost is that charge (simcost.Costs.NetworkHopPerRecord,
+// per record). Underneath, tasks exchange network buffers, not records
+// (exchange.go): a sender appends records and watermark control events,
+// in order, to a fixed-capacity buffer per downstream subtask and ships
+// it when it is full, when the sending subtask is about to block on its
+// own input, and at end of input. Every (sender, target) channel owns a
+// small fixed set of buffers that the receiver hands back once drained;
+// a sender with none free waits, which is the backpressure. The
+// receiver still processes element by element, so the tuple-at-a-time
+// firing clock is unchanged.
 package flink
 
 import (
@@ -45,6 +56,13 @@ type OperatorContext interface {
 }
 
 // Source produces records by pushing them into the context's collector.
+//
+// What a source emits crosses the next task boundary in network buffers
+// (see the package comment): a record is shipped when its buffer fills
+// and when Run returns. A source that waits for input mid-run has no way
+// to say so through this interface, so its last few records stay
+// buffered for the duration of the wait; the Kafka source of this
+// package flushes before every poll.
 type Source interface {
 	// Run emits records until the source is exhausted or ctx reports
 	// shutdown. Run must return nil on clean exhaustion.

@@ -41,7 +41,8 @@ type kafkaSource struct {
 
 // Run consumes the subtask's share of the partitions via blocking polls
 // until the end-of-input contract (broker.EndOfInput) is met, emitting
-// the record values.
+// the record values. Before every poll — where the subtask may wait for
+// input — it ships what the chain has buffered for downstream tasks.
 func (s *kafkaSource) Run(out Collector) error {
 	consumer, eoi, err := broker.OpenShare(s.b, s.topic, broker.ConsumerConfig{},
 		s.ctx.SubtaskIndex(), s.ctx.Parallelism(), s.target)
@@ -51,7 +52,12 @@ func (s *kafkaSource) Run(out Collector) error {
 	if eoi.Empty() {
 		return nil
 	}
+	idle := func() {}
+	if sc, ok := s.ctx.(*subtaskContext); ok {
+		idle = sc.idle
+	}
 	for {
+		idle()
 		recs, err := consumer.PollWait(_sourceIdlePoll)
 		if err != nil {
 			return fmt.Errorf("flink: kafka source: %w", err)

@@ -3,12 +3,12 @@ package flink
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"beambench/internal/keyhash"
 	"beambench/internal/metrics"
 	"beambench/internal/simcost"
 	"beambench/internal/watermark"
@@ -17,23 +17,6 @@ import (
 // errStopped is the internal signal that the job is shutting down; it is
 // never surfaced to callers.
 var errStopped = errors.New("flink: job stopped")
-
-// _channelBuffer is the capacity of the in-flight record buffer of one
-// network channel between subtasks, standing in for Flink's network
-// buffer pool.
-const _channelBuffer = 128
-
-// streamElement is one unit travelling a network channel: a data record,
-// or a watermark control event. Watermarks flow through the dataflow
-// itself — stamped where event time is assigned, forwarded by every
-// task, combined min-over-senders at every multi-input point — so they
-// carry the sending subtask's identity for the receiver's MinTracker.
-type streamElement struct {
-	rec    []byte
-	wm     time.Time
-	ctrl   bool
-	sender int
-}
 
 // JobResult summarizes a finished job.
 type JobResult struct {
@@ -102,7 +85,7 @@ func (env *Environment) canChain(e inEdge, down *operator) bool {
 // runtimeChain wires one chain into the running job.
 type runtimeChain struct {
 	c      *chain
-	inputs []chan streamElement // one per subtask; nil for source chains
+	inputs []chan *netBuffer // one per subtask; nil for source chains
 	edges  []*runtimeEdge
 	// senders is the number of distinct upstream subtasks feeding this
 	// chain's input channels (summed over input edges); each gets a slot
@@ -122,7 +105,7 @@ type runtimeEdge struct {
 	// occupy in the destination's MinTracker.
 	senderBase int
 	dst        *runtimeChain
-	targets    []chan streamElement
+	targets    []chan *netBuffer
 }
 
 // jobRuntime tracks shutdown across subtasks.
@@ -167,15 +150,14 @@ func (env *Environment) Execute(jobName string) (*JobResult, error) {
 	attempts := 0
 	for {
 		attempts++
-		err := env.runOnce()
+		tasks, err := env.runOnce()
 		if err == nil {
-			chains := env.buildChains()
 			return &JobResult{
 				JobName:   jobName,
 				Duration:  time.Since(start),
 				Attempts:  attempts,
 				Operators: env.operatorStats(),
-				Tasks:     len(chains),
+				Tasks:     tasks,
 			}, nil
 		}
 		if attempts > env.cluster.cfg.RestartAttempts {
@@ -192,7 +174,9 @@ func (env *Environment) operatorStats() []OperatorStats {
 	return out
 }
 
-func (env *Environment) runOnce() error {
+// runOnce deploys and runs one attempt of the job, returning the number
+// of physical tasks (chains) it ran as.
+func (env *Environment) runOnce() (int, error) {
 	for _, op := range env.ops {
 		op.metrics.reset()
 	}
@@ -214,7 +198,7 @@ func (env *Environment) runOnce() error {
 	}
 	slots, err := env.cluster.jm.acquire(maxPar)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer env.cluster.jm.release(slots)
 
@@ -229,10 +213,7 @@ func (env *Environment) runOnce() error {
 	for i, c := range chains {
 		rc := &runtimeChain{c: c}
 		if len(c.head().inputs) > 0 {
-			rc.inputs = make([]chan streamElement, c.parallelism)
-			for j := range rc.inputs {
-				rc.inputs[j] = make(chan streamElement, _channelBuffer)
-			}
+			rc.inputs = make([]chan *netBuffer, c.parallelism)
 		}
 		rcs[i] = rc
 		for _, op := range c.ops {
@@ -256,6 +237,9 @@ func (env *Environment) runOnce() error {
 			})
 			rc.senders += up.c.parallelism
 			rc.pendingUp++
+		}
+		for j := range rc.inputs {
+			rc.inputs[j] = newInput(rc.senders)
 		}
 	}
 
@@ -290,7 +274,7 @@ func (env *Environment) runOnce() error {
 		}(rc)
 	}
 	all.Wait()
-	return rt.failure()
+	return len(chains), rt.failure()
 }
 
 // subtaskContext implements OperatorContext for one subtask.
@@ -300,6 +284,10 @@ type subtaskContext struct {
 	meter   *simcost.Meter
 	metrics *metrics.Collector
 	markers []*stageMarker
+	// idle is the subtask's flush-on-idle hook, set once its outgoing
+	// edges are wired: whoever feeds the chain — consumeInput, or a
+	// source of this package — calls it before waiting for input.
+	idle func()
 }
 
 func (c *subtaskContext) SubtaskIndex() int      { return c.idx }
@@ -387,13 +375,7 @@ func (env *Environment) runSubtask(rt *jobRuntime, rc *runtimeChain, idx int) er
 	if len(rc.edges) > 0 {
 		cols := make([]Collector, len(rc.edges))
 		for i, e := range rc.edges {
-			s := &edgeSender{
-				edge:    e,
-				idx:     idx,
-				stop:    rt.stop,
-				meter:   ctx.meter,
-				hopCost: env.cluster.cfg.Costs.NetworkHopPerRecord,
-			}
+			s := newEdgeSender(e, idx, rt.stop, ctx.meter, env.cluster.cfg.Costs.NetworkHopPerRecord, rc.c.tail().metrics)
 			senders = append(senders, s)
 			cols[i] = s
 		}
@@ -401,6 +383,21 @@ func (env *Environment) runSubtask(rt *jobRuntime, rc *runtimeChain, idx int) er
 			tail = cols[0]
 		} else {
 			tail = multiCollector(cols)
+		}
+	}
+	// Flush-on-idle: whenever this subtask is about to block on its own
+	// input, it ships what it has buffered, so a record never waits in a
+	// partly filled buffer for input that is not there yet.
+	flushEdges := func() bool {
+		shipped := false
+		for _, s := range senders {
+			shipped = s.flush() || shipped
+		}
+		return shipped
+	}
+	ctx.idle = func() {
+		if flushEdges() {
+			rc.c.tail().metrics.idleFlushes.Add(1)
 		}
 	}
 	// The control path's tail: forward the subtask's output watermark on
@@ -477,7 +474,7 @@ func (env *Environment) runSubtask(rt *jobRuntime, rc *runtimeChain, idx int) er
 			runErr = src.Run(current)
 		}
 	case opTransform, opSink:
-		runErr = env.consumeInput(rc, idx, current, currentWM)
+		runErr = consumeInput(rc.inputs[idx], rc.senders, current, currentWM, ctx.idle)
 	default:
 		runErr = fmt.Errorf("flink: unknown operator kind %d", head.kind)
 	}
@@ -485,12 +482,16 @@ func (env *Environment) runSubtask(rt *jobRuntime, rc *runtimeChain, idx int) er
 	// On clean end of input, flush keyed operators upstream-first so
 	// their emissions flow through the downstream stages of the chain,
 	// then propagate the end-of-stream watermark so downstream tasks
-	// finalize this sender while other senders may still stream.
+	// finalize this sender while other senders may still stream, and
+	// ship the last, partly filled buffers behind it.
 	for i := len(keyed) - 1; i >= 0 && runErr == nil; i-- {
 		runErr = keyed[i].flush()
 	}
 	if runErr == nil {
 		runErr = wmTail(watermark.EndOfTime)
+	}
+	if runErr == nil {
+		flushEdges()
 	}
 
 	closeErr := closeSinks()
@@ -503,35 +504,53 @@ func (env *Environment) runSubtask(rt *jobRuntime, rc *runtimeChain, idx int) er
 	return nil
 }
 
-// consumeInput drains one subtask's input channel: data records feed the
-// composed collector chain; watermark control events advance the
-// per-sender MinTracker, and each combined (min-over-senders) advance is
-// delivered through the chain's control path. The sole head stage of an
-// unfused stateful operator fires its panes there, exactly like a
-// mid-chain one.
-func (env *Environment) consumeInput(rc *runtimeChain, idx int, c Collector, wm wmHandler) error {
-	tracker := watermark.NewMinTracker(rc.senders)
+// consumeInput drains one subtask's input channel buffer by buffer,
+// element by element: data records feed the composed collector chain;
+// watermark control events advance the per-sender MinTracker, and each
+// combined (min-over-senders) advance is delivered through the chain's
+// control path. The sole head stage of an unfused stateful operator
+// fires its panes there, exactly like a mid-chain one. Before blocking
+// on an empty channel it calls idle, and every drained buffer goes back
+// to its sender.
+func consumeInput(in <-chan *netBuffer, senders int, c Collector, wm wmHandler, idle func()) error {
+	tracker := watermark.NewMinTracker(senders)
 	var delivered time.Time
-	for el := range rc.inputs[idx] {
-		if !el.ctrl {
-			if err := c.Collect(el.rec); err != nil {
-				return err
+	for {
+		var (
+			b  *netBuffer
+			ok bool
+		)
+		select {
+		case b, ok = <-in:
+		default:
+			idle()
+			b, ok = <-in
+		}
+		if !ok {
+			return nil
+		}
+		for i := range b.els[:b.n] {
+			el := &b.els[i]
+			if !el.ctrl {
+				if err := c.Collect(el.rec); err != nil {
+					return err
+				}
+				continue
 			}
-			continue
-		}
-		if el.wm.Equal(watermark.EndOfTime) {
-			tracker.Finalize(el.sender)
-		} else {
-			tracker.Advance(el.sender, el.wm)
-		}
-		if combined := tracker.Combined(); combined.After(delivered) {
-			delivered = combined
-			if err := wm(combined); err != nil {
-				return err
+			if el.wm == math.MaxInt64 {
+				tracker.Finalize(b.sender)
+			} else {
+				tracker.Advance(b.sender, watermark.FromNanos(el.wm))
+			}
+			if combined := tracker.Combined(); combined.After(delivered) {
+				delivered = combined
+				if err := wm(combined); err != nil {
+					return err
+				}
 			}
 		}
+		b.recycle()
 	}
-	return nil
 }
 
 // builtStage is one operator instantiated for a subtask: the collector
@@ -661,66 +680,4 @@ func (m multiCollector) Collect(rec []byte) error {
 		}
 	}
 	return nil
-}
-
-// edgeSender ships records across a task boundary: it charges the
-// per-record network hop — the charge is the serialization; the record
-// itself is immutable and crosses as it is — and delivers to the
-// downstream subtask chosen by the edge's partitioning. Watermarks are
-// control events: they broadcast to every downstream subtask under this
-// sender's identity, so each receiver can hold its combined watermark at
-// the minimum over all senders.
-type edgeSender struct {
-	edge    *runtimeEdge
-	idx     int
-	rr      int
-	lastWM  time.Time
-	stop    <-chan struct{}
-	meter   *simcost.Meter
-	hopCost time.Duration
-}
-
-func (e *edgeSender) Collect(rec []byte) error {
-	e.meter.Charge(e.hopCost)
-
-	var target chan streamElement
-	switch e.edge.mode {
-	case partitionForward:
-		target = e.edge.targets[e.idx%len(e.edge.targets)]
-	case partitionHash:
-		key, err := e.edge.keyFn(rec)
-		if err != nil {
-			return fmt.Errorf("flink: key selector: %w", err)
-		}
-		target = e.edge.targets[keyhash.Partition(key, len(e.edge.targets))]
-	default:
-		target = e.edge.targets[e.rr%len(e.edge.targets)]
-		e.rr++
-	}
-	return e.send(target, streamElement{rec: rec})
-}
-
-// sendWatermark broadcasts one watermark control event; regressions and
-// repeats are dropped (the control path is monotone per sender).
-func (e *edgeSender) sendWatermark(w time.Time) error {
-	if !w.After(e.lastWM) {
-		return nil
-	}
-	e.lastWM = w
-	el := streamElement{wm: w, ctrl: true, sender: e.edge.senderBase + e.idx}
-	for _, target := range e.edge.targets {
-		if err := e.send(target, el); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *edgeSender) send(target chan streamElement, el streamElement) error {
-	select {
-	case target <- el:
-		return nil
-	case <-e.stop:
-		return errStopped
-	}
 }

@@ -19,14 +19,19 @@ type Costs struct {
 	BrokerFetchPerRecord time.Duration
 
 	// NetworkHopPerRecord is the per-record cost of crossing a task
-	// boundary (serialize + frame + hand over). Chained Flink operators
-	// avoid it entirely — the optimization Section II-B describes.
+	// boundary (serialize + frame + hand over), and the whole modelled
+	// cost of the hop: the Go hand-off underneath is buffer-granular on
+	// purpose (internal/flink/exchange.go), so that what a boundary costs
+	// per record is this charge and not a channel operation. Chained
+	// Flink operators avoid it entirely — the optimization Section II-B
+	// describes.
 	NetworkHopPerRecord time.Duration
 
-	// CoderPerRecord is the extra per-record cost of a Beam coder
-	// encode or decode at an operator boundary, on top of the real byte
-	// copy performed by the coder. Beam-on-Flink pays this at every one
-	// of the ~6 boundaries in Figure 13.
+	// CoderPerRecord is the per-record cost of a Beam coder encode or
+	// decode at an operator boundary. The charge is the serialization:
+	// records are immutable and no coder copies their bytes.
+	// Beam-on-Flink pays this at every one of the ~6 boundaries in
+	// Figure 13.
 	CoderPerRecord time.Duration
 
 	// BeamDoFnPerRecord is the per-element overhead of dispatching

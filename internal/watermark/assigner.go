@@ -27,10 +27,12 @@ func (a span) less(b span) bool {
 // EndOfTime is the latest.
 var startOfTime = time.Unix(0, math.MinInt64)
 
-// nanos converts t to Unix nanoseconds. Instants outside the int64
-// range (before 1677-09-21 or after 2262-04-11) saturate to its ends;
-// EndOfTime maps to MaxInt64 exactly, the zero time.Time to MinInt64.
-func nanos(t time.Time) int64 {
+// Nanos converts t to Unix nanoseconds, the int64 form window state
+// keeps instants in and a runtime may carry watermarks in. Instants
+// outside the int64 range (before 1677-09-21 or after 2262-04-11)
+// saturate to its ends; EndOfTime maps to MaxInt64 exactly, the zero
+// time.Time to MinInt64.
+func Nanos(t time.Time) int64 {
 	switch {
 	case t.Before(startOfTime):
 		return math.MinInt64
@@ -40,8 +42,8 @@ func nanos(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// fromNanos is the inverse of nanos, in UTC.
-func fromNanos(ns int64) time.Time { return time.Unix(0, ns).UTC() }
+// FromNanos is the inverse of Nanos, in UTC.
+func FromNanos(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
 // satAdd returns a+b, saturating at the int64 range instead of
 // wrapping, so windows touching the ends of time stay ordered.

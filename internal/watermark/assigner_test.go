@@ -179,17 +179,17 @@ func TestAssignMatchesTimeArithmetic(t *testing.T) {
 // end are cut off there (and those that collapse into one count a record
 // once), and the end-of-input watermark still releases all of them.
 func TestWindowsAtTheEndsOfTime(t *testing.T) {
-	if got := nanos(time.Time{}); got != math.MinInt64 {
-		t.Errorf("nanos(zero time) = %d, want MinInt64", got)
+	if got := Nanos(time.Time{}); got != math.MinInt64 {
+		t.Errorf("Nanos(zero time) = %d, want MinInt64", got)
 	}
-	if got := nanos(EndOfTime); got != math.MaxInt64 {
-		t.Errorf("nanos(EndOfTime) = %d, want MaxInt64", got)
+	if got := Nanos(EndOfTime); got != math.MaxInt64 {
+		t.Errorf("Nanos(EndOfTime) = %d, want MaxInt64", got)
 	}
-	if got := nanos(EndOfTime.Add(time.Hour)); got != math.MaxInt64 {
-		t.Errorf("nanos(past EndOfTime) = %d, want MaxInt64", got)
+	if got := Nanos(EndOfTime.Add(time.Hour)); got != math.MaxInt64 {
+		t.Errorf("Nanos(past EndOfTime) = %d, want MaxInt64", got)
 	}
-	if !fromNanos(nanos(epoch)).Equal(epoch) {
-		t.Errorf("fromNanos(nanos(epoch)) = %v, want %v", fromNanos(nanos(epoch)), epoch)
+	if !FromNanos(Nanos(epoch)).Equal(epoch) {
+		t.Errorf("FromNanos(Nanos(epoch)) = %v, want %v", FromNanos(Nanos(epoch)), epoch)
 	}
 
 	a, err := NewSlidingAssigner(2*time.Second, time.Second)

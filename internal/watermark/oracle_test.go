@@ -18,8 +18,8 @@ type Span struct {
 // assign returns the windows a assigns to t, as Spans.
 func assign(a Assigner, t time.Time) []Span {
 	var out []Span
-	for _, sp := range a.appendSpans(nil, nanos(t)) {
-		out = append(out, Span{Start: fromNanos(sp.start), End: fromNanos(sp.end)})
+	for _, sp := range a.appendSpans(nil, Nanos(t)) {
+		out = append(out, Span{Start: FromNanos(sp.start), End: FromNanos(sp.end)})
 	}
 	return out
 }

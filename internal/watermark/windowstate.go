@@ -133,7 +133,7 @@ func (s *WindowState[T]) Assigner() Assigner { return s.assigner }
 // valid until the next call on the state. The key is copied only when a
 // pane is created, so a call that finds its panes allocates nothing.
 func (s *WindowState[T]) Panes(t time.Time, key []byte) []*T {
-	s.spans = s.assigner.appendSpans(s.spans[:0], nanos(t))
+	s.spans = s.assigner.appendSpans(s.spans[:0], Nanos(t))
 	s.accs = s.accs[:0]
 	if s.merges {
 		s.accs = append(s.accs, s.sessionAcc(s.spans[0], key))
@@ -266,7 +266,7 @@ func (s *WindowState[T]) sessionAcc(proto span, key []byte) *T {
 // stops on the first emit error, leaving the failed pane and every
 // later one in place for a retry.
 func (s *WindowState[T]) FireReady(w time.Time, emit func(Pane[T]) error) error {
-	wm := nanos(w)
+	wm := Nanos(w)
 	if s.merges {
 		return s.fireSessions(wm, emit)
 	}
@@ -287,7 +287,7 @@ func (s *WindowState[T]) FireReady(w time.Time, emit func(Pane[T]) error) error 
 
 // fire emits w's unfired panes in first-seen key order.
 func (w *window[T]) fire(emit func(Pane[T]) error) error {
-	start, end := fromNanos(w.span.start), fromNanos(w.span.end)
+	start, end := FromNanos(w.span.start), FromNanos(w.span.end)
 	for ; w.fired < len(w.panes); w.fired++ {
 		p := &w.panes[w.fired]
 		if err := emit(Pane[T]{Start: start, End: end, Key: p.key, Acc: p.acc}); err != nil {
@@ -332,7 +332,7 @@ func (s *WindowState[T]) fireSessions(wm int64, emit func(Pane[T]) error) error 
 		return due[i].ks.rank < due[j].ks.rank
 	})
 	for _, r := range due {
-		p := Pane[T]{Start: fromNanos(r.sess.span.start), End: fromNanos(r.sess.span.end), Key: r.key, Acc: r.sess.acc}
+		p := Pane[T]{Start: FromNanos(r.sess.span.start), End: FromNanos(r.sess.span.end), Key: r.key, Acc: r.sess.acc}
 		if err := emit(p); err != nil {
 			return err // sessionDue still admits the retry
 		}
