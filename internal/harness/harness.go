@@ -505,28 +505,24 @@ func (r *Runner) runSingle(ctx context.Context, setup Setup, runIdx int) (RunRes
 	// both.
 	col := r.metrics.Collector(cellKey(setup))
 
-	// The live plane (if any) sees the run's sources for pull-based
-	// scraping; EndRun detaches the broker-backed ones when the run
-	// finishes, keeping the final topic offsets.
-	lc := r.cfg.Plane.Cell(cellKey(setup))
-	lc.StartRun(obs.CellSources{
+	// One description of the run's live state, read two ways: the live
+	// plane (if any) reads it per scrape, and the lag monitor reads it
+	// on a ticker for the whole run — per-partition consumer lag,
+	// per-stage rates and per-operator watermark lag. EndRun detaches
+	// the broker-backed sources when the run finishes, keeping the
+	// final topic offsets. The monitor is tied to the real tracer — a
+	// plane-only run is scraped on demand instead of sampled, so no
+	// ticker goroutine spins for it.
+	src := obs.CellSources{
 		Collector:   col,
 		Tracer:      tr,
 		ConsumerLag: consumerLagSamples(b),
 		TopicEnds:   topicEnds(b),
-	})
-	defer lc.EndRun()
-
-	// The lag monitor samples broker and telemetry state on a ticker
-	// for the whole run: per-partition consumer lag, per-stage rates,
-	// and (via the tracer's gauge registry) per-operator watermark lag.
-	// It is tied to the real tracer — a plane-only run is scraped on
-	// demand instead of sampled, so no ticker goroutine spins for it.
-	mon := obs.NewMonitor(traced, r.cfg.GaugeInterval)
-	mon.SampleEach(consumerLagSampler(b))
-	if col != nil {
-		mon.SampleEach(stageRateSampler(col))
 	}
+	lc := r.cfg.Plane.Cell(cellKey(setup))
+	lc.StartRun(src)
+	defer lc.EndRun()
+	mon := obs.NewMonitor(traced, r.cfg.GaugeInterval, src)
 	mon.Start()
 	gauges := []obs.GaugeSummary(nil)
 	monitorStopped := false
@@ -633,36 +629,10 @@ func (r *Runner) runSingle(ctx context.Context, setup Setup, runIdx int) (RunRes
 	}, nil
 }
 
-// consumerLagSampler samples per-partition consumer lag for both
-// benchmark topics: end offset minus the consumers' high-watermark
-// fetch position, per partition. A topic torn down mid-run (the stream
-// sender's abort path) simply stops yielding samples.
-func consumerLagSampler(b *broker.Broker) obs.MultiSampler {
-	return func(yield func(name string, value float64)) {
-		for _, topic := range []string{inputTopic, outputTopic} {
-			ends, err := b.EndOffsets(topic)
-			if err != nil {
-				continue
-			}
-			consumed, err := b.ConsumedOffsets(topic)
-			if err != nil {
-				continue
-			}
-			for p := range ends {
-				lag := float64(ends[p] - consumed[p])
-				if lag < 0 {
-					lag = 0
-				}
-				yield("consumer-lag/"+topic+"/p"+strconv.Itoa(p), lag)
-			}
-		}
-	}
-}
-
-// consumerLagSamples is the plane's structured variant of
-// consumerLagSampler: per-partition lag for both benchmark topics,
-// scraped on demand by the exposition server. A topic torn down
-// mid-run yields no samples.
+// consumerLagSamples derives per-partition consumer lag for both
+// benchmark topics from the broker: end offset minus the consumers'
+// fetch position, per partition. A topic torn down mid-run (the
+// stream sender's abort path) yields no samples.
 func consumerLagSamples(b *broker.Broker) func() []obs.LagSample {
 	return func() []obs.LagSample {
 		var out []obs.LagSample
@@ -700,16 +670,6 @@ func topicEnds(b *broker.Broker) func() (int64, int64, bool) {
 			return 0, 0, false
 		}
 		return in, out, true
-	}
-}
-
-// stageRateSampler samples every registered stage's current-second
-// throughput from the cell's collector.
-func stageRateSampler(col *metrics.Collector) obs.MultiSampler {
-	return func(yield func(name string, value float64)) {
-		col.EachStage(func(s *metrics.Stage) {
-			yield("rate/"+s.Name(), float64(s.Current()))
-		})
 	}
 }
 

@@ -130,13 +130,23 @@ func TestNegativeWorkersRejected(t *testing.T) {
 // failure (a parallelism far beyond any simulated cluster's capacity)
 // and checks that both the sequential and the parallel paths return the
 // completed cells alongside the error instead of discarding them.
+//
+// The impossible cell sits at index workers in canonical order. The
+// jobs channel is unbuffered and a worker stores its cell before it
+// takes the next job, so the impossible cell is handed out only after
+// some cell has completed. At a lower index it would be dispatched in
+// the first wave, and its instant failure could cancel every in-flight
+// cell before any of them finished.
 func TestRunMatrixPreservesPartialResultsOnError(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Records = 200
-	cfg.Runs = 1
-	cfg.Parallelisms = []int{1, 1 << 20}
-
 	for _, workers := range []int{1, 4} {
+		cfg := fastConfig()
+		cfg.Records = 200
+		cfg.Runs = 1
+		cfg.Parallelisms = nil
+		for p := 1; p <= workers; p++ {
+			cfg.Parallelisms = append(cfg.Parallelisms, p)
+		}
+		cfg.Parallelisms = append(cfg.Parallelisms, 1<<20)
 		r, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

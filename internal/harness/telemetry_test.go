@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"beambench/internal/broker"
 	"beambench/internal/obs"
 	"beambench/internal/queries"
 )
@@ -73,5 +74,69 @@ func TestTracedRunTelemetryContract(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no counter event on %q", track)
+	}
+}
+
+// TestConsumerLagPerPartitionP2: with a two-partition input topic,
+// interleaved appends and partial consumption, the broker-derived lag
+// the monitor and the plane both read is correct per partition, not as
+// an aggregate; the absent output topic yields no samples.
+func TestConsumerLagPerPartitionP2(t *testing.T) {
+	b := broker.New()
+	defer b.Close()
+	if err := b.CreateTopic(inputTopic, broker.TopicConfig{Partitions: 2}); err != nil {
+		t.Fatal(err)
+	}
+	prod, err := b.NewProducer(broker.ProducerConfig{
+		// Route by key byte so the interleaving is explicit.
+		Partitioner: func(key []byte, partitions int) int { return int(key[0]) % partitions },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Interleave appends: 6 records to p0, 4 to p1.
+	for i := 0; i < 10; i++ {
+		part := i % 2
+		if i >= 8 {
+			part = 0 // the tail goes to p0 only
+		}
+		if err := prod.Send(inputTopic, []byte{byte(part)}, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := prod.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Two consumers, one per partition, drain different amounts:
+	// p0 fetches 2 of its 6, p1 fetches all 4.
+	c0, err := b.NewConsumer(broker.ConsumerConfig{MaxPollRecords: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c0.Assign(inputTopic, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c0.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	c1, err := b.NewConsumer(broker.ConsumerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Assign(inputTopic, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Poll(); err != nil {
+		t.Fatal(err)
+	}
+
+	got := consumerLagSamples(b)()
+	want := []obs.LagSample{
+		{Topic: inputTopic, Partition: 0, Lag: 4}, // 6 appended, 2 consumed
+		{Topic: inputTopic, Partition: 1, Lag: 0}, // fully drained
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("consumer lag = %+v, want %+v", got, want)
 	}
 }

@@ -26,9 +26,15 @@
 // allocates after the ring is built. The trace exports as Chrome
 // trace-event JSON (WriteChromeTrace) and opens directly in Perfetto
 // or chrome://tracing. Gauges hold the latest value of a sampled
-// quantity (consumer offsets, watermarks) in an atomic; the Monitor
-// goroutine turns them into counter tracks at a configurable cadence
-// and into per-run max/mean summaries for the report.
+// quantity (watermarks) in an atomic.
+//
+// A run's live state is described once, by CellSources, and read two
+// ways: the Monitor is the periodic read (a ticker goroutine plus one
+// final read on Stop) that turns it into counter tracks and per-run
+// max/mean summaries for the report; the Plane is the on-demand read
+// of the same sources per scrape. Both go through one unexported
+// reader, so consumer lag, stage rates and watermark lag are derived
+// once.
 //
 // # Watermark-lag semantics
 //
@@ -38,8 +44,8 @@
 // monitor takes the most advanced live watermark across the run's
 // operators as the frontier and reports each operator's distance
 // behind it, in seconds. An operator at watermark.EndOfTime has
-// drained and reports zero lag. WatermarkLags applies the same
-// computation on demand for the snapshot path.
+// drained and reports zero lag. WatermarkLags is the one place the
+// frontier is computed.
 //
 // # Snapshots and exposition
 //

@@ -1,24 +1,11 @@
 package obs
 
 import (
-	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
-
-// endOfTimeNanos matches watermark.EndOfTime.UnixNano(): an operator
-// whose watermark gauge holds it has drained and reports zero lag.
-// (Duplicated as a constant to keep obs free of engine imports.)
-const endOfTimeNanos = math.MaxInt64
-
-// A Sampler produces one counter sample per tick; returning ok=false
-// skips the tick (e.g. the topic is gone during teardown).
-type Sampler func() (value float64, ok bool)
-
-// A MultiSampler emits zero or more named samples per tick via yield;
-// the set of names may change between ticks (stages register lazily).
-type MultiSampler func(yield func(name string, value float64))
 
 // GaugeSummary is the per-run time series digest of one counter track,
 // carried into the report so a cell answers "what was the peak lag"
@@ -31,35 +18,30 @@ type GaugeSummary struct {
 	Last    float64 `json:"last"`
 }
 
-// Monitor is the per-run sampling goroutine: at each tick it runs the
-// registered samplers and converts the scope's watermark gauges into
-// frontier-relative lag, recording everything as counter events on the
-// tracer and accumulating summaries. A nil Monitor no-ops; Start
-// without Stop leaks nothing because Stop is idempotent and the
+// Monitor is the per-run sampling goroutine: at each tick it reads the
+// run's CellSources — the same read the Plane performs per scrape —
+// and records consumer lag, stage rates and watermark lag as counter
+// events on the tracer, accumulating summaries. A nil Monitor no-ops;
+// Start without Stop leaks nothing because Stop is idempotent and the
 // goroutine owns a done channel + WaitGroup.
 type Monitor struct {
 	t        *Tracer
 	interval time.Duration
+	src      CellSources
 
-	mu       sync.Mutex
-	samplers []namedSampler
-	multi    []MultiSampler
-	series   map[string]*GaugeSummary
-	order    []string
-	stopped  bool
+	mu      sync.Mutex
+	series  map[string]*GaugeSummary
+	order   []string
+	stopped bool
 
 	done chan struct{}
 	wg   sync.WaitGroup
 }
 
-type namedSampler struct {
-	name string
-	fn   Sampler
-}
-
-// NewMonitor builds a monitor sampling at interval (minimum 1ms) on
-// the given tracer scope. A nil tracer yields a nil monitor.
-func NewMonitor(t *Tracer, interval time.Duration) *Monitor {
+// NewMonitor builds a monitor reading src at interval (minimum 1ms)
+// and recording on the given tracer scope. A nil tracer yields a nil
+// monitor.
+func NewMonitor(t *Tracer, interval time.Duration, src CellSources) *Monitor {
 	if t == nil {
 		return nil
 	}
@@ -69,29 +51,10 @@ func NewMonitor(t *Tracer, interval time.Duration) *Monitor {
 	return &Monitor{
 		t:        t,
 		interval: interval,
+		src:      src,
 		series:   make(map[string]*GaugeSummary),
 		done:     make(chan struct{}),
 	}
-}
-
-// Sample registers a named sampler. Nil-safe.
-func (m *Monitor) Sample(name string, fn Sampler) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.samplers = append(m.samplers, namedSampler{name: name, fn: fn})
-	m.mu.Unlock()
-}
-
-// SampleEach registers a multi-sampler. Nil-safe.
-func (m *Monitor) SampleEach(fn MultiSampler) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.multi = append(m.multi, fn)
-	m.mu.Unlock()
 }
 
 // Start launches the sampling goroutine. Nil-safe.
@@ -144,47 +107,17 @@ func (m *Monitor) Stop() []GaugeSummary {
 	return out
 }
 
-// tick runs every sampler once and converts watermark gauges to
-// frontier-relative lag seconds.
+// tick reads the sources once and records every value.
 func (m *Monitor) tick() {
-	m.mu.Lock()
-	samplers := m.samplers
-	multi := m.multi
-	m.mu.Unlock()
-
-	for _, s := range samplers {
-		if v, ok := s.fn(); ok {
-			m.record(s.name, v)
-		}
+	cs := m.src.read()
+	for _, l := range cs.ConsumerLag {
+		m.record("consumer-lag/"+l.Topic+"/p"+strconv.Itoa(l.Partition), float64(l.Lag))
 	}
-	for _, fn := range multi {
-		fn(m.record)
+	for _, s := range cs.Stages {
+		m.record("rate/"+s.Name, float64(s.CurrentRate))
 	}
-
-	gauges := m.t.Gauges()
-	// Frontier: the most advanced live watermark in this scope. Gauges
-	// never set (0) or already drained (EndOfTime) don't define it.
-	var frontier int64
-	for _, g := range gauges {
-		v := g.Load()
-		if v != 0 && v != endOfTimeNanos && v > frontier {
-			frontier = v
-		}
-	}
-	for _, g := range gauges {
-		v := g.Load()
-		switch {
-		case v == 0:
-			// Operator hasn't seen a watermark yet; no sample.
-		case v == endOfTimeNanos:
-			m.record(g.Name(), 0)
-		default:
-			lag := float64(frontier-v) / 1e9
-			if lag < 0 {
-				lag = 0
-			}
-			m.record(g.Name(), lag)
-		}
+	for _, w := range cs.WatermarkLag {
+		m.record("watermark-lag/"+w.Operator, w.LagSec)
 	}
 }
 
@@ -192,25 +125,16 @@ func (m *Monitor) tick() {
 // summary. The counter event carries the fully scoped name (trace
 // tracks must be unique per run); the series summary carries the bare
 // name, so the summaries of one cell's runs merge by gauge in
-// MergeGaugeSummaries. Sampler names arrive bare and get the scope
-// prefix for the event; gauge names from Tracer.Gauge arrive scoped
-// and get it stripped for the summary.
+// MergeGaugeSummaries.
 func (m *Monitor) record(name string, v float64) {
-	full, bare := name, name
-	if m.t.prefix != "" {
-		if isScoped(name, m.t.prefix) {
-			bare = name[len(m.t.prefix)+1:]
-		} else {
-			full = m.t.prefix + "/" + name
-		}
-	}
+	full := m.t.track(name)
 	m.t.core.record(Event{Track: full, Name: full, Phase: PhaseCounter, Start: m.t.Now(), Value: v})
 	m.mu.Lock()
-	s, ok := m.series[bare]
+	s, ok := m.series[name]
 	if !ok {
-		s = &GaugeSummary{Name: bare}
-		m.series[bare] = s
-		m.order = append(m.order, bare)
+		s = &GaugeSummary{Name: name}
+		m.series[name] = s
+		m.order = append(m.order, name)
 	}
 	s.Samples++
 	if v > s.Max {
@@ -219,12 +143,6 @@ func (m *Monitor) record(name string, v float64) {
 	s.Mean += (v - s.Mean) / float64(s.Samples)
 	s.Last = v
 	m.mu.Unlock()
-}
-
-// isScoped reports whether name already carries the scope prefix —
-// gauge names from Tracer.Gauge do, raw sampler names don't.
-func isScoped(name, prefix string) bool {
-	return len(name) > len(prefix) && name[:len(prefix)] == prefix && name[len(prefix)] == '/'
 }
 
 // MergeGaugeSummaries folds b's series into a by name, weighting means

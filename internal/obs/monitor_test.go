@@ -1,35 +1,42 @@
 package obs
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
-	"beambench/internal/broker"
+	"beambench/internal/metrics"
 )
+
+func byGaugeName(sums []GaugeSummary) map[string]GaugeSummary {
+	out := make(map[string]GaugeSummary, len(sums))
+	for _, s := range sums {
+		out[s.Name] = s
+	}
+	return out
+}
 
 func TestMonitorSamplesAndSummaries(t *testing.T) {
 	tr := NewTracer(1 << 10)
 	scope := tr.Scoped("cell/run0")
-	m := NewMonitor(scope, time.Millisecond)
 
-	var lag float64 = 10
-	m.Sample("consumer-lag/input/p0", func() (float64, bool) {
-		v := lag
-		lag -= 1
-		if lag < 0 {
-			lag = 0
-		}
-		return v, true
+	var lag int64 = 10
+	m := NewMonitor(scope, time.Millisecond, CellSources{
+		// The output topic is torn down: only the input partition
+		// yields samples.
+		ConsumerLag: func() []LagSample {
+			v := lag
+			if lag > 0 {
+				lag--
+			}
+			return []LagSample{{Topic: "input", Partition: 0, Lag: v}}
+		},
 	})
-	m.Sample("skipped", func() (float64, bool) { return 99, false })
 	m.Start()
 	time.Sleep(10 * time.Millisecond)
 	sums := m.Stop()
 
-	byName := map[string]GaugeSummary{}
-	for _, s := range sums {
-		byName[s.Name] = s
-	}
+	byName := byGaugeName(sums)
 	// Summaries carry the bare gauge name — the scope identifies the
 	// run, and bare names let one cell's runs merge by gauge.
 	got, ok := byName["consumer-lag/input/p0"]
@@ -45,8 +52,8 @@ func TestMonitorSamplesAndSummaries(t *testing.T) {
 	if got.Mean <= 0 || got.Mean > 10 {
 		t.Errorf("mean = %v out of range", got.Mean)
 	}
-	if _, ok := byName["skipped"]; ok {
-		t.Error("sampler returning ok=false produced a series")
+	if len(sums) != 1 {
+		t.Errorf("absent partitions produced series: %+v", sums)
 	}
 	// Counter events landed in the shared ring under the scope prefix.
 	found := false
@@ -67,8 +74,9 @@ func TestMonitorSamplesAndSummaries(t *testing.T) {
 
 func TestMonitorFinalTickCoversShortRuns(t *testing.T) {
 	tr := NewTracer(64)
-	m := NewMonitor(tr, time.Hour) // cadence far beyond the run
-	m.Sample("x", func() (float64, bool) { return 7, true })
+	m := NewMonitor(tr, time.Hour, CellSources{ // cadence far beyond the run
+		ConsumerLag: func() []LagSample { return []LagSample{{Topic: "x", Lag: 7}} },
+	})
 	m.Start()
 	sums := m.Stop()
 	if len(sums) != 1 || sums[0].Samples != 1 || sums[0].Last != 7 {
@@ -76,26 +84,22 @@ func TestMonitorFinalTickCoversShortRuns(t *testing.T) {
 	}
 }
 
+// setWatermarks registers four operator gauges on tr: one at the
+// frontier, one 5s behind it, one never set and one drained.
+func setWatermarks(tr *Tracer) {
+	base := time.Unix(1000, 0)
+	tr.Gauge("watermark-lag/source").SetTime(base.Add(5 * time.Second))
+	tr.Gauge("watermark-lag/gbk").SetTime(base)
+	tr.Gauge("watermark-lag/idle")
+	tr.Gauge("watermark-lag/sink").SetTime(time.Unix(0, 1<<63-1)) // watermark.EndOfTime
+}
+
 func TestMonitorWatermarkLagIsFrontierRelative(t *testing.T) {
 	tr := NewTracer(256)
-	m := NewMonitor(tr, time.Hour)
-	ahead := tr.Gauge("watermark-lag/source")
-	behind := tr.Gauge("watermark-lag/gbk")
-	unset := tr.Gauge("watermark-lag/idle")
-	done := tr.Gauge("watermark-lag/sink")
-	_ = unset
-
-	base := time.Unix(1000, 0)
-	ahead.SetTime(base.Add(5 * time.Second))
-	behind.SetTime(base)
-	done.SetTime(time.Unix(0, 1<<63-1)) // watermark.EndOfTime
-
+	setWatermarks(tr)
+	m := NewMonitor(tr, time.Hour, CellSources{Tracer: tr})
 	m.Start()
-	sums := m.Stop()
-	byName := map[string]GaugeSummary{}
-	for _, s := range sums {
-		byName[s.Name] = s
-	}
+	byName := byGaugeName(m.Stop())
 	if s := byName["watermark-lag/source"]; s.Last != 0 {
 		t.Errorf("frontier operator lag = %v, want 0", s.Last)
 	}
@@ -110,100 +114,64 @@ func TestMonitorWatermarkLagIsFrontierRelative(t *testing.T) {
 	}
 }
 
-// TestConsumerLagPerPartitionP2 is the satellite test: with a
-// two-partition topic and interleaved appends, the broker-derived lag
-// must be correct per partition, not as an aggregate.
-func TestConsumerLagPerPartitionP2(t *testing.T) {
-	b := broker.New()
-	defer b.Close()
-	if err := b.CreateTopic("in", broker.TopicConfig{Partitions: 2}); err != nil {
-		t.Fatal(err)
-	}
-	prod, err := b.NewProducer(broker.ProducerConfig{
-		// Route by key byte so the interleaving is explicit.
-		Partitioner: func(key []byte, partitions int) int { return int(key[0]) % partitions },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interleave appends: 6 records to p0, 4 to p1.
-	for i := 0; i < 10; i++ {
-		part := i % 2
-		if i >= 8 {
-			part = 0 // the tail goes to p0 only
-		}
-		if err := prod.Send("in", []byte{byte(part)}, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := prod.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Two consumers, one per partition, drain different amounts:
-	// p0 fetches 2 of its 6, p1 fetches all 4.
-	c0, err := b.NewConsumer(broker.ConsumerConfig{MaxPollRecords: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c0.Assign("in", 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c0.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	c1, err := b.NewConsumer(broker.ConsumerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.Assign("in", 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.Poll(); err != nil {
-		t.Fatal(err)
-	}
-
-	ends, err := b.EndOffsets("in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	consumed, err := b.ConsumedOffsets("in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ends[0] != 6 || ends[1] != 4 {
-		t.Fatalf("end offsets = %v, want [6 4]", ends)
-	}
-	if consumed[0] != 2 || consumed[1] != 4 {
-		t.Fatalf("consumed offsets = %v, want [2 4]", consumed)
-	}
-
-	// Wire the same derivation the harness monitor uses and check the
-	// per-partition counter tracks disagree — lag is not an aggregate.
+// TestMonitorAndPlaneReadOneSource checks the one-path property: for
+// the same CellSources, the Monitor's final-tick values are exactly
+// what a Plane scrape reports — same series, same numbers.
+func TestMonitorAndPlaneReadOneSource(t *testing.T) {
 	tr := NewTracer(256)
-	m := NewMonitor(tr, time.Hour)
-	for p := 0; p < 2; p++ {
-		part := p
-		m.Sample("consumer-lag/in/p"+string(rune('0'+part)), func() (float64, bool) {
-			ends, err1 := b.EndOffsets("in")
-			cons, err2 := b.ConsumedOffsets("in")
-			if err1 != nil || err2 != nil {
-				return 0, false
+	setWatermarks(tr)
+	col := metrics.NewCollector()
+	src := CellSources{
+		Collector: col,
+		Tracer:    tr,
+		ConsumerLag: func() []LagSample {
+			return []LagSample{
+				{Topic: "input", Partition: 0, Lag: 4},
+				{Topic: "input", Partition: 1, Lag: 0},
+				{Topic: "output", Partition: 0, Lag: 2},
 			}
-			return float64(ends[part] - cons[part]), true
-		})
+		},
+		TopicEnds: func() (int64, int64, bool) { return 10, 3, true },
 	}
+	p := NewPlane(10, 1)
+	p.Cell("cell").StartRun(src)
+	m := NewMonitor(tr, time.Hour, src)
 	m.Start()
-	sums := m.Stop()
-	byName := map[string]GaugeSummary{}
-	for _, s := range sums {
-		byName[s.Name] = s
+
+	// Stage rates are one-second windows: keep the marks, the final
+	// tick and the scrape inside one second.
+	if left := time.Until(time.Now().Truncate(time.Second).Add(time.Second)); left < 200*time.Millisecond {
+		time.Sleep(left)
 	}
-	if s := byName["consumer-lag/in/p0"]; s.Last != 4 {
-		t.Errorf("p0 lag = %v, want 4 (6 appended, 2 consumed)", s.Last)
+	col.Stage("source").Mark(10)
+	col.Stage("sink").Mark(7)
+	col.Stage("idle")
+	got := byGaugeName(m.Stop())
+	cs := p.Snapshot().Cells[0]
+
+	want := map[string]float64{}
+	for _, l := range cs.ConsumerLag {
+		want["consumer-lag/"+l.Topic+"/p"+strconv.Itoa(l.Partition)] = float64(l.Lag)
 	}
-	if s := byName["consumer-lag/in/p1"]; s.Last != 0 {
-		t.Errorf("p1 lag = %v, want 0 (fully drained)", s.Last)
+	for _, s := range cs.Stages {
+		want["rate/"+s.Name] = float64(s.CurrentRate)
+	}
+	for _, w := range cs.WatermarkLag {
+		want["watermark-lag/"+w.Operator] = w.LagSec
+	}
+	if len(want) != 3+3+3 {
+		t.Fatalf("snapshot series = %v, want 3 lags, 3 stages, 3 set watermarks", want)
+	}
+	if len(got) != len(want) {
+		t.Errorf("monitor has %d series, snapshot %d: %+v", len(got), len(want), got)
+	}
+	for name, v := range want {
+		if s, ok := got[name]; !ok || s.Last != v {
+			t.Errorf("%s: monitor last = %+v, snapshot = %v", name, s, v)
+		}
+	}
+	if got["rate/source"].Last != 10 || got["watermark-lag/gbk"].Last != 5 {
+		t.Errorf("monitor values not the marked ones: %+v", got)
 	}
 }
 

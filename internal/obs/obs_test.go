@@ -112,12 +112,10 @@ func TestNilTracerIsDisabled(t *testing.T) {
 	if tr.Events() != nil || tr.Dropped() != 0 || tr.Gauges() != nil {
 		t.Error("nil tracer reports state")
 	}
-	if m := NewMonitor(nil, time.Millisecond); m != nil {
+	if m := NewMonitor(nil, time.Millisecond, CellSources{}); m != nil {
 		t.Error("NewMonitor(nil) != nil")
 	}
 	var m *Monitor
-	m.Sample("s", func() (float64, bool) { return 0, true })
-	m.SampleEach(func(func(string, float64)) {})
 	m.Start()
 	if m.Stop() != nil {
 		t.Error("nil monitor Stop() != nil")

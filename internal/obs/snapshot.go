@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -106,11 +107,12 @@ type Snapshot struct {
 	Cells     []CellSnapshot `json:"cells"`
 }
 
-// CellSources are the live handles a cell's current run exposes to the
-// plane. Every field is optional; nil fields simply yield no samples.
-// All of them must be safe for concurrent use at scrape cadence — the
-// plane calls them from the HTTP handler goroutine while the run
-// executes (the collector is internally locked, gauges are atomics,
+// CellSources are the live handles a cell's current run exposes: the
+// one description of a run's live state, read per scrape by the plane
+// and per tick by the Monitor. Every field is optional; nil fields
+// simply yield no samples. All of them must be safe for concurrent use
+// at scrape cadence — the plane calls them from the HTTP handler
+// goroutine and the Monitor from its ticker while the run executes (the collector is internally locked, gauges are atomics,
 // and the broker accessors take broker-internal locks; none of these
 // sit on the per-record hot path).
 type CellSources struct {
@@ -259,37 +261,19 @@ func (lc *LiveCell) snapshot() CellSnapshot {
 	in, out := lc.lastIn, lc.lastOut
 	lc.mu.Unlock()
 
-	cs := CellSnapshot{
-		Key:           lc.key,
-		State:         state,
-		RunsDone:      runsDone,
-		SkipReason:    reason,
-		InputRecords:  in,
-		OutputRecords: out,
-	}
+	cs := src.read()
+	cs.Key = lc.key
+	cs.State = state
+	cs.RunsDone = runsDone
+	cs.SkipReason = reason
+	cs.InputRecords, cs.OutputRecords = in, out
 	if src.TopicEnds != nil {
 		if i, o, ok := src.TopicEnds(); ok {
 			cs.InputRecords, cs.OutputRecords = i, o
 		}
 	}
-	if src.ConsumerLag != nil {
-		cs.ConsumerLag = src.ConsumerLag()
-	}
-	if src.Tracer != nil {
-		cs.WatermarkLag = WatermarkLags(src.Tracer)
-	}
-	if src.Collector != nil {
-		src.Collector.EachStage(func(s *metrics.Stage) {
-			cs.Stages = append(cs.Stages, StageSnapshot{
-				Name:        s.Name(),
-				Records:     s.Records(),
-				CurrentRate: s.Current(),
-			})
-		})
-		sort.Slice(cs.Stages, func(i, j int) bool { return cs.Stages[i].Name < cs.Stages[j].Name })
-		if lat := src.Collector.LatencySummary(); lat.Count > 0 {
-			cs.Latency = &lat
-		}
+	if lat := src.Collector.LatencySummary(); lat.Count > 0 {
+		cs.Latency = &lat
 	}
 	return cs
 }
@@ -340,14 +324,41 @@ func (p *Plane) Snapshot() Snapshot {
 	return snap
 }
 
+// read is the one read of a run's live sources, shared by the Plane
+// (per scrape, in LiveCell.snapshot) and the Monitor (per tick): it
+// fills a snapshot's consumer lag, watermark lag and stage rates, with
+// stages sorted by name for a byte-stable feed. Topic ends and the
+// latency sketch are the snapshot's own additions, so a Monitor tick
+// never pays for them.
+func (src CellSources) read() CellSnapshot {
+	var cs CellSnapshot
+	if src.ConsumerLag != nil {
+		cs.ConsumerLag = src.ConsumerLag()
+	}
+	cs.WatermarkLag = WatermarkLags(src.Tracer)
+	src.Collector.EachStage(func(s *metrics.Stage) {
+		cs.Stages = append(cs.Stages, StageSnapshot{
+			Name:        s.Name(),
+			Records:     s.Records(),
+			CurrentRate: s.Current(),
+		})
+	})
+	sort.Slice(cs.Stages, func(i, j int) bool { return cs.Stages[i].Name < cs.Stages[j].Name })
+	return cs
+}
+
+// endOfTimeNanos matches watermark.EndOfTime.UnixNano(): an operator
+// whose watermark gauge holds it has drained and reports zero lag.
+// (Duplicated as a constant to keep obs free of engine imports.)
+const endOfTimeNanos = math.MaxInt64
+
 // WatermarkLags converts a run-scoped tracer's watermark gauges into
-// frontier-relative lag, the same computation the Monitor performs per
-// tick (see the package comment): the most advanced live watermark
-// defines the frontier, each operator reports its distance behind it,
-// a drained operator (EndOfTime) reports zero, and a gauge never set
-// yields no sample. Gauge names arrive fully scoped
+// frontier-relative lag (see the package comment): the most advanced
+// live watermark defines the frontier, each operator reports its
+// distance behind it, a drained operator (EndOfTime) reports zero, and
+// a gauge never set yields no sample. Gauge names arrive fully scoped
 // ("cell/runN/watermark-lag/op"); the operator label is the bare
-// segment after the "watermark-lag/" marker.
+// segment after the "watermark-lag/" marker. Nil-safe.
 func WatermarkLags(tr *Tracer) []WatermarkLag {
 	gauges := tr.Gauges()
 	if len(gauges) == 0 {
