@@ -93,6 +93,21 @@ func (h *hop) Send(rec []byte) {
 	h.out <- append(frame, scratch...)
 }
 
+type reshape struct{ tag string }
+
+// FrameRewrite runs once per stage, so nothing in its own body is
+// flagged; the rewrite it returns takes a frame, which makes it a
+// per-record body by shape.
+func (r reshape) FrameRewrite() func(frame []byte) ([]byte, error) {
+	prefix := []byte(r.tag) // once per stage: no diagnostic
+	return func(frame []byte) ([]byte, error) {
+		if len(frame) == 0 {
+			return prefix, nil
+		}
+		return []byte(string(frame[1:])), nil // want `string->\[\]byte conversion allocates` `\[\]byte->string conversion allocates`
+	}
+}
+
 // setup is not reachable from any per-record entry point: allocation
 // there is startup cost, not per-record cost.
 func setup(names []string) map[string]int {

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 )
 
@@ -123,7 +125,7 @@ func (c KVCoder) Encode(v any) ([]byte, error) {
 		return nil, fmt.Errorf("beam: kv coder: element %T is not a KV", v)
 	}
 	if c.Key == nil || c.Value == nil {
-		return nil, errors.New("beam: kv coder: missing component coder")
+		return nil, errMissingKVCoder
 	}
 	kb, err := c.Key.Encode(kv.Key)
 	if err != nil {
@@ -133,35 +135,74 @@ func (c KVCoder) Encode(v any) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("beam: kv coder value: %w", err)
 	}
-	out := make([]byte, 0, len(kb)+len(vb)+2*binary.MaxVarintLen64)
-	out = binary.AppendUvarint(out, uint64(len(kb)))
-	out = append(out, kb...)
-	out = binary.AppendUvarint(out, uint64(len(vb)))
-	out = append(out, vb...)
-	return out, nil
+	return appendKVFrame(make([]byte, 0, kvFrameLen(kb, vb)), kb, vb), nil
+}
+
+// kvFrameLen is the length of the KV frame appendKVFrame writes.
+func kvFrameLen(key, val []byte) int {
+	return uvarintLen(uint64(len(key))) + len(key) + uvarintLen(uint64(len(val))) + len(val)
+}
+
+// appendKVFrame appends the KV wire format: the key then the value,
+// each a uvarint length followed by that many bytes. A KafkaRecord
+// frame ends in the same two fields, so its key/value tail is a
+// KV<bytes,bytes> frame.
+func appendKVFrame(out, key, val []byte) []byte {
+	out = binary.AppendUvarint(out, uint64(len(key)))
+	out = append(out, key...)
+	out = binary.AppendUvarint(out, uint64(len(val)))
+	return append(out, val...)
+}
+
+// uvarintLen is the length of x's minimal uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// lenPrefixed splits a uvarint-length-prefixed field off the front of
+// b: the field (capped, so an append cannot reach the rest of the
+// frame) and what follows it.
+func lenPrefixed(b []byte) (field, rest []byte, ok bool) {
+	l, n := binary.Uvarint(b)
+	if n <= 0 || uint64(len(b)-n) < l {
+		return nil, nil, false
+	}
+	b = b[n:]
+	return b[:l:l], b[l:], true
+}
+
+var (
+	errMissingKVCoder = errors.New("beam: kv coder: missing component coder")
+	errMalformedKVKey = errors.New("beam: kv coder: malformed key length")
+	errMalformedKVVal = errors.New("beam: kv coder: malformed value length")
+)
+
+// splitKV splits a KV frame into its key and value sub-frames; bytes
+// after the value are ignored.
+func splitKV(b []byte) (key, val []byte, err error) {
+	key, b, ok := lenPrefixed(b)
+	if !ok {
+		return nil, nil, errMalformedKVKey
+	}
+	val, _, ok = lenPrefixed(b)
+	if !ok {
+		return nil, nil, errMalformedKVVal
+	}
+	return key, val, nil
 }
 
 // Decode implements Coder.
 func (c KVCoder) Decode(b []byte) (any, error) {
 	if c.Key == nil || c.Value == nil {
-		return nil, errors.New("beam: kv coder: missing component coder")
+		return nil, errMissingKVCoder
 	}
-	klen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < klen {
-		return nil, errors.New("beam: kv coder: malformed key length")
+	kb, vb, err := splitKV(b)
+	if err != nil {
+		return nil, err
 	}
-	b = b[n:]
-	key, err := c.Key.Decode(b[:klen:klen])
+	key, err := c.Key.Decode(kb)
 	if err != nil {
 		return nil, fmt.Errorf("beam: kv coder key: %w", err)
 	}
-	b = b[klen:]
-	vlen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < vlen {
-		return nil, errors.New("beam: kv coder: malformed value length")
-	}
-	b = b[n:]
-	val, err := c.Value.Decode(b[:vlen:vlen])
+	val, err := c.Value.Decode(vb)
 	if err != nil {
 		return nil, fmt.Errorf("beam: kv coder value: %w", err)
 	}
@@ -175,71 +216,94 @@ type KafkaRecordCoder struct{}
 func (KafkaRecordCoder) Name() string { return "kafkarecord" }
 
 // Encode implements Coder.
-func (KafkaRecordCoder) Encode(v any) ([]byte, error) {
+func (c KafkaRecordCoder) Encode(v any) ([]byte, error) {
 	r, ok := v.(KafkaRecord)
 	if !ok {
 		return nil, fmt.Errorf("beam: kafka record coder: element %T is not a KafkaRecord", v)
 	}
-	out := make([]byte, 0, len(r.Topic)+len(r.Key)+len(r.Value)+5*binary.MaxVarintLen64)
+	return c.EncodeRecord(r), nil
+}
+
+// zeroTimeNanos encodes the zero Timestamp, whose UnixNano is undefined
+// (year 1 is outside int64 nanoseconds since 1970). A record stamped
+// with the instant math.MinInt64 ns after the epoch (in 1677) decodes
+// as the zero time too.
+const zeroTimeNanos = math.MinInt64
+
+// EncodeRecord is Encode for a KafkaRecord, without boxing it.
+func (KafkaRecordCoder) EncodeRecord(r KafkaRecord) []byte {
+	ts := int64(zeroTimeNanos)
+	if !r.Timestamp.IsZero() {
+		ts = r.Timestamp.UnixNano()
+	}
+	out := make([]byte, 0, 4*binary.MaxVarintLen64+len(r.Topic)+kvFrameLen(r.Key, r.Value))
 	out = binary.AppendUvarint(out, uint64(len(r.Topic)))
 	out = append(out, r.Topic...)
 	out = binary.AppendVarint(out, int64(r.Partition))
 	out = binary.AppendVarint(out, r.Offset)
-	out = binary.AppendVarint(out, r.Timestamp.UnixNano())
-	out = binary.AppendUvarint(out, uint64(len(r.Key)))
-	out = append(out, r.Key...)
-	out = binary.AppendUvarint(out, uint64(len(r.Value)))
-	out = append(out, r.Value...)
-	return out, nil
+	out = binary.AppendVarint(out, ts)
+	return appendKVFrame(out, r.Key, r.Value)
 }
 
 var errMalformedKafkaRecord = errors.New("beam: kafka record coder: malformed input")
 
+// kafkaRecordFrame is a KafkaRecord frame split into its fields; topic,
+// key and value alias the frame, and kv is the key/value tail from the
+// key's length prefix to the end of the frame.
+type kafkaRecordFrame struct {
+	topic                   []byte
+	partition, offset, nano int64
+	key, value, kv          []byte
+}
+
+// splitKafkaRecord splits a KafkaRecord frame; bytes after the value
+// are ignored.
+func splitKafkaRecord(b []byte) (f kafkaRecordFrame, err error) {
+	var ok bool
+	f.topic, b, ok = lenPrefixed(b)
+	f.partition, b, ok = varint(b, ok)
+	f.offset, b, ok = varint(b, ok)
+	f.nano, b, ok = varint(b, ok)
+	if !ok {
+		return f, errMalformedKafkaRecord
+	}
+	f.kv = b[:len(b):len(b)]
+	if f.key, f.value, err = splitKV(b); err != nil {
+		return f, errMalformedKafkaRecord
+	}
+	return f, nil
+}
+
+// varint reads a varint off the front of b when ok, which it passes on.
+func varint(b []byte, ok bool) (int64, []byte, bool) {
+	if !ok {
+		return 0, nil, false
+	}
+	v, n := binary.Varint(b)
+	if n <= 0 {
+		return 0, nil, false
+	}
+	return v, b[n:], true
+}
+
 // Decode implements Coder. Key and Value are sub-slices of the frame.
 func (KafkaRecordCoder) Decode(b []byte) (any, error) {
-	tlen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < tlen {
-		return nil, errMalformedKafkaRecord
+	f, err := splitKafkaRecord(b)
+	if err != nil {
+		return nil, err
 	}
-	b = b[n:]
-	//beamvet:allow hotalloc the topic is a string field; it cannot alias the frame
-	topic := string(b[:tlen])
-	b = b[tlen:]
-	part, n := binary.Varint(b)
-	if n <= 0 {
-		return nil, errMalformedKafkaRecord
+	ts := time.Time{}
+	if f.nano != zeroTimeNanos {
+		ts = time.Unix(0, f.nano).UTC()
 	}
-	b = b[n:]
-	off, n := binary.Varint(b)
-	if n <= 0 {
-		return nil, errMalformedKafkaRecord
-	}
-	b = b[n:]
-	tsNano, n := binary.Varint(b)
-	if n <= 0 {
-		return nil, errMalformedKafkaRecord
-	}
-	b = b[n:]
-	klen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < klen {
-		return nil, errMalformedKafkaRecord
-	}
-	b = b[n:]
-	key := b[:klen:klen]
-	b = b[klen:]
-	vlen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < vlen {
-		return nil, errMalformedKafkaRecord
-	}
-	b = b[n:]
-	val := b[:vlen:vlen]
 	return KafkaRecord{
-		Topic:     topic,
-		Partition: int(part),
-		Offset:    off,
-		Timestamp: time.Unix(0, tsNano).UTC(),
-		Key:       key,
-		Value:     val,
+		//beamvet:allow hotalloc the topic is a string field; it cannot alias the frame
+		Topic:     string(f.topic),
+		Partition: int(f.partition),
+		Offset:    f.offset,
+		Timestamp: ts,
+		Key:       f.key,
+		Value:     f.value,
 	}, nil
 }
 

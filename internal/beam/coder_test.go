@@ -179,7 +179,7 @@ func TestKVCoderErrors(t *testing.T) {
 
 func TestKafkaRecordCoderRoundTrip(t *testing.T) {
 	c := KafkaRecordCoder{}
-	f := func(topic string, part uint8, off int64, key, val []byte) bool {
+	f := func(topic string, part uint8, off int64, key, val []byte, zeroTime bool) bool {
 		rec := KafkaRecord{
 			Topic:     topic,
 			Partition: int(part),
@@ -187,6 +187,9 @@ func TestKafkaRecordCoderRoundTrip(t *testing.T) {
 			Timestamp: time.Unix(0, 1234567890).UTC(),
 			Key:       key,
 			Value:     val,
+		}
+		if zeroTime {
+			rec.Timestamp = time.Time{}
 		}
 		enc, err := c.Encode(rec)
 		if err != nil {
@@ -206,6 +209,19 @@ func TestKafkaRecordCoderRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	// The zero time has no UnixNano; it must come back as itself, which
+	// is what the runners that never encode a record hand their DoFns.
+	enc, err := c.Encode(KafkaRecord{Topic: "t", Value: []byte("v")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := c.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := dec.(KafkaRecord).Timestamp; ts != (time.Time{}) {
+		t.Errorf("zero Timestamp decodes as %v, want time.Time{}", ts)
 	}
 	if _, err := c.Encode(42); err == nil {
 		t.Error("non-record accepted")

@@ -51,6 +51,23 @@ type (
 	Teardowner interface{ Teardown() error }
 )
 
+// FrameFn is implemented by a DoFn that only reshapes a coded frame:
+// it emits exactly one element per element, and that element's frame
+// can be cut from the input frame (or written straight from its fields)
+// without building either element. graphx.Executable.Bind asks once per
+// stage instance and, when the rewrite applies, runs it in place of
+// decode, ProcessElement and encode.
+type FrameFn interface {
+	DoFn
+	// FrameRewrite returns, for elements decoded with in and encoded
+	// with out, a rewrite that maps a frame to out.Encode(e) byte for
+	// byte, e being the one element ProcessElement emits for
+	// in.Decode(frame), and that fails with the error in.Decode
+	// returns. ok is false for any other pair of coders. The result may
+	// alias the frame; the rewrite never writes into it.
+	FrameRewrite(in, out Coder) (rewrite func(frame []byte) ([]byte, error), ok bool)
+}
+
 // DoFnFunc adapts a function to DoFn.
 type DoFnFunc func(ctx Context, elem any, emit Emitter) error
 
@@ -114,13 +131,31 @@ func Values(p *Pipeline, in PCollection) PCollection {
 	if kvc, ok := in.Coder().(KVCoder); ok {
 		valueCoder = kvc.Value
 	}
-	return ParDo(p, "Values", DoFnFunc(func(ctx Context, elem any, emit Emitter) error {
-		kv, ok := elem.(KV)
-		if !ok {
-			return fmt.Errorf("beam: Values: element %T is not a KV", elem)
-		}
-		return emit(kv.Value)
-	}), in, WithCoder(valueCoder))
+	return ParDo(p, "Values", valuesFn{}, in, WithCoder(valueCoder))
+}
+
+// valuesFn is the DoFn of Values.
+type valuesFn struct{}
+
+// ProcessElement implements DoFn.
+func (valuesFn) ProcessElement(ctx Context, elem any, emit Emitter) error {
+	kv, ok := elem.(KV)
+	if !ok {
+		return fmt.Errorf("beam: Values: element %T is not a KV", elem)
+	}
+	return emit(kv.Value)
+}
+
+// FrameRewrite implements FrameFn for KV<bytes,bytes> in and bytes out:
+// the output frame is the input's value sub-frame.
+func (valuesFn) FrameRewrite(in, out Coder) (func([]byte) ([]byte, error), bool) {
+	if in != Coder(bytesKVCoder) || out != Coder(BytesCoder{}) {
+		return nil, false
+	}
+	return func(frame []byte) ([]byte, error) {
+		_, val, err := splitKV(frame)
+		return val, err
+	}, true
 }
 
 // Keys drops the values of a KV collection.

@@ -50,21 +50,38 @@ type Executable struct {
 // composes the emitter chain once, against the instance's charge. The
 // returned function has the shape of watermark.Operator.Process; emit
 // is only valid during the call it is passed to.
+//
+// When the stage only reshapes a frame (see frameRewrite) the body
+// never builds an element: it rewrites the frame and makes the element
+// path's charges, in its order, on its success and failure paths.
 func (x Executable) Bind(charge func(time.Duration)) (func(rec []byte, emit func([]byte) error) error, error) {
 	if s, ok := x.Fn.(beam.Setupper); ok {
 		if err := s.Setup(); err != nil {
 			return nil, stageErr(x.Name, fmt.Errorf("setup: %w", err))
 		}
 	}
-	if x.Fn == nil && x.Decode == nil && x.Wrap == "" && x.Encode == nil {
-		// Forwarding: the record is the element is the payload. Same
-		// charges as below, without boxing the record into an element.
+	if rewrite, ok := x.frameRewrite(); ok {
 		return func(rec []byte, emit func([]byte) error) error {
+			frame := rec
+			if rewrite != nil {
+				var err error
+				if frame, err = rewrite(rec); err != nil {
+					return stageErr(x.Name, fmt.Errorf("decode: %w", err))
+				}
+			}
+			if x.Decode != nil {
+				charge(x.Costs.CoderPerRecord)
+			}
 			charge(x.Costs.BeamDoFnPerRecord)
-			if x.SinkCharge > 0 {
+			if x.Encode != nil {
+				charge(x.Costs.CoderPerRecord)
+			} else if x.SinkCharge > 0 {
 				charge(x.SinkCharge)
 			}
-			return emit(rec)
+			if err := emit(frame); err != nil {
+				return stageErr(x.Name, err)
+			}
+			return nil
 		}, nil
 	}
 
@@ -88,7 +105,15 @@ func (x Executable) Bind(charge func(time.Duration)) (func(rec []byte, emit func
 		}
 		return out(payload)
 	}
-	bctx := beam.Context{Window: beam.GlobalWindow{}}
+	var fns []beam.DoFn
+	switch fn := x.Fn.(type) {
+	case nil:
+	case *FusedFn:
+		fns = fn.fns
+	default:
+		fns = []beam.DoFn{fn}
+	}
+	process := compose(beam.Context{Window: beam.GlobalWindow{}}, fns, exit)
 
 	return func(rec []byte, emit func([]byte) error) error {
 		var elem any
@@ -107,17 +132,41 @@ func (x Executable) Bind(charge func(time.Duration)) (func(rec []byte, emit func
 		}
 		charge(x.Costs.BeamDoFnPerRecord)
 		out = emit
-		var err error
-		if x.Fn != nil {
-			err = x.Fn.ProcessElement(bctx, elem, exit)
-		} else {
-			err = exit(elem)
-		}
-		if err != nil {
+		if err := process(elem); err != nil {
 			return stageErr(x.Name, err)
 		}
 		return nil
 	}, nil
+}
+
+// frameRewrite reports whether the stage only reshapes a frame, and how:
+// a nil rewrite hands the record on as it is. That holds for forwarding
+// (the record is the element is the payload), for the write serializer
+// over the bytes coder (the frame is the payload), for the read
+// expansion into the KafkaRecord coder (the record's frame is written
+// straight from the payload), and for a beam.FrameFn whose rewrite
+// accepts the stage's coders. Every one of these can fail only where
+// the element path's decode fails, before the first charge.
+func (x Executable) frameRewrite() (func([]byte) ([]byte, error), bool) {
+	switch fn := x.Fn.(type) {
+	case nil:
+		_, bytesIn := x.Decode.(beam.BytesCoder)
+		_, recordOut := x.Encode.(beam.KafkaRecordCoder)
+		switch {
+		case x.Decode == nil && x.Wrap == "" && x.Encode == nil, bytesIn && x.Encode == nil:
+			return nil, true
+		case x.Decode == nil && x.Wrap != "" && recordOut:
+			topic := x.Wrap
+			return func(rec []byte) ([]byte, error) {
+				return beam.KafkaRecordCoder{}.EncodeRecord(beam.KafkaRecord{Topic: topic, Value: rec}), nil
+			}, true
+		}
+	case beam.FrameFn:
+		if x.Decode != nil && x.Encode != nil {
+			return fn.FrameRewrite(x.Decode, x.Encode)
+		}
+	}
+	return nil, false
 }
 
 // stageErr names the failing stage, once, in front of the cause.

@@ -53,7 +53,10 @@ func mustEncode(t *testing.T, c beam.Coder, v any) []byte {
 func TestExecutableChargesPerShape(t *testing.T) {
 	bytesCoder := beam.BytesCoder{}
 	recCoder := beam.KafkaRecordCoder{}
+	kvCoder := beam.KVCoder{Key: bytesCoder, Value: bytesCoder}
+	withoutMetadata, values := frameFns(t)
 	payload := []byte("payload")
+	kv := mustEncode(t, kvCoder, beam.KV{Key: []byte("key"), Value: payload})
 	cases := []struct {
 		name    string
 		x       graphx.Executable
@@ -74,6 +77,20 @@ func TestExecutableChargesPerShape(t *testing.T) {
 			in:      mustEncode(t, bytesCoder, payload),
 			charges: []time.Duration{coder, dofn, coder, coder},
 			out:     [][]byte{mustEncode(t, bytesCoder, payload), mustEncode(t, bytesCoder, payload)},
+		},
+		{
+			name:    "decode→WithoutMetadata→encode (frame: the record's key/value tail)",
+			x:       graphx.Executable{Fn: withoutMetadata, Decode: recCoder, Encode: kvCoder},
+			in:      mustEncode(t, recCoder, beam.KafkaRecord{Topic: "in", Key: []byte("key"), Value: payload}),
+			charges: []time.Duration{coder, dofn, coder},
+			out:     [][]byte{kv},
+		},
+		{
+			name:    "decode→Values→encode (frame: the value sub-frame)",
+			x:       graphx.Executable{Fn: values, Decode: kvCoder, Encode: bytesCoder},
+			in:      kv,
+			charges: []time.Duration{coder, dofn, coder},
+			out:     [][]byte{payload},
 		},
 		{
 			name:    "decode→payload (Flink/Spark write serializer)",
@@ -221,32 +238,51 @@ func TestExecutableErrorPolicy(t *testing.T) {
 
 // TestExecutableRecordPathAllocations: the chain is composed at Bind,
 // so a record costs what its coders and elements cost and nothing for
-// the executable itself; forwarding costs nothing at all.
+// the executable itself; a stage that runs on frames costs the frame it
+// writes, if any.
 func TestExecutableRecordPathAllocations(t *testing.T) {
+	bytesCoder := beam.BytesCoder{}
+	recCoder := beam.KafkaRecordCoder{}
+	kvCoder := beam.KVCoder{Key: bytesCoder, Value: bytesCoder}
+	withoutMetadata, values := frameFns(t)
+	p, _ := chainPipeline(t)
+	pl, err := graphx.Lower(p, graphx.Options{Fusion: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := pl.Stages[1].Fn()
+	if fused.(*graphx.FusedFn).Len() != 3 {
+		t.Fatalf("chain stage %v is not three fused fns", stageNames(pl))
+	}
+
+	payload := []byte("payload")
+	kv := mustEncode(t, kvCoder, beam.KV{Key: []byte("key"), Value: payload})
+	cases := []struct {
+		name   string
+		x      graphx.Executable
+		in     []byte
+		allocs float64
+	}{
+		{"forward", graphx.Executable{}, payload, 0},
+		{"WithoutMetadata", graphx.Executable{Fn: withoutMetadata, Decode: recCoder, Encode: kvCoder},
+			mustEncode(t, recCoder, beam.KafkaRecord{Topic: "in", Key: []byte("key"), Value: payload}), 0},
+		{"Values", graphx.Executable{Fn: values, Decode: kvCoder, Encode: bytesCoder}, kv, 0},
+		{"bytes write serializer", graphx.Executable{Decode: bytesCoder}, payload, 0},
+		// The record's frame, written once.
+		{"read expansion", graphx.Executable{Wrap: "in", Encode: recCoder}, payload, 1},
+		// Boxing the decoded []byte; the emitters were composed at Bind.
+		{"ParDo", graphx.Executable{Fn: ident("id"), Decode: bytesCoder, Encode: bytesCoder}, payload, 1},
+		{"three-fn fused chain", graphx.Executable{Fn: fused, Decode: bytesCoder, Encode: bytesCoder}, payload, 1},
+	}
 	emit := func([]byte) error { return nil }
-	charge := func(time.Duration) {}
-	rec := []byte("payload")
-
-	forward, err := graphx.Executable{Name: "fwd"}.Bind(charge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() { _ = forward(rec, emit) }); n != 0 {
-		t.Errorf("forward stage allocates %v per record, want 0", n)
-	}
-
-	// decode→fn→encode over the bytes coder: one copy per boundary (the
-	// two coder ownership copies) plus boxing the decoded []byte.
-	parDo, err := graphx.Executable{Name: "pardo", Fn: ident("id"), Decode: beam.BytesCoder{}, Encode: beam.BytesCoder{}}.Bind(charge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := mustEncode(t, beam.BytesCoder{}, rec)
-	direct := testing.AllocsPerRun(200, func() {
-		elem, _ := beam.BytesCoder{}.Decode(wire)
-		_, _ = beam.BytesCoder{}.Encode(elem)
-	})
-	if n := testing.AllocsPerRun(200, func() { _ = parDo(wire, emit) }); n > direct {
-		t.Errorf("ParDo stage allocates %v per record, the coder round trip alone %v", n, direct)
+	for _, tc := range cases {
+		tc.x.Name = tc.name
+		process, err := tc.x.Bind(func(time.Duration) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(200, func() { _ = process(tc.in, emit) }); n != tc.allocs {
+			t.Errorf("%s stage allocates %v per record, want %v", tc.name, n, tc.allocs)
+		}
 	}
 }

@@ -5,6 +5,17 @@
 // and GBKState, the GroupByKey operator. A runner's translation is a
 // switch over the stages that wires these into its engine's graph.
 //
+// An Executable whose stage only reshapes a frame runs on frames: a
+// forwarding stage, the write serializer over the bytes coder, the read
+// expansion into the KafkaRecord coder, and a DoFn implementing
+// beam.FrameFn (WithoutMetadata, Values) over the coders its rewrite
+// accepts. Bind then picks a body that turns the record into its output
+// frame without decoding it into an element, boxing it or encoding it
+// again, and that makes the element path's charges, field for field and
+// in order. The charges model the coder and dispatch work of the system
+// under test; the frame body removes only our Go's boxing, which no
+// charge stands for.
+//
 // Lower's ParDo-fusion
 // pass generalizes the linear-chain fusion of the Apex runner to
 // arbitrary pipeline graphs: maximal chains of ParDos whose intermediate
@@ -312,22 +323,22 @@ type FusedFn struct {
 // Len reports the number of fused DoFns.
 func (f *FusedFn) Len() int { return len(f.fns) }
 
-// ProcessElement implements beam.DoFn.
+// ProcessElement implements beam.DoFn. It composes the chain for the
+// call; Executable.Bind composes it once per engine instance instead.
 func (f *FusedFn) ProcessElement(ctx beam.Context, elem any, emit beam.Emitter) error {
-	return f.process(0, ctx, elem, emit)
+	return compose(ctx, f.fns, emit)(elem)
 }
 
-func (f *FusedFn) process(i int, ctx beam.Context, elem any, emit beam.Emitter) error {
-	if i == len(f.fns) {
-		return emit(elem)
+// compose returns the emitter that runs an element through fns in
+// order, each fn's emissions feeding the next and the last fn's going
+// to emit: the fused stage's in-memory hand-off.
+func compose(ctx beam.Context, fns []beam.DoFn, emit beam.Emitter) beam.Emitter {
+	for i := len(fns) - 1; i >= 0; i-- {
+		fn, next := fns[i], emit
+		//beamvet:allow hotalloc one emitter per fn per composition: once per Bind on the engines; only an unbound ProcessElement call (direct runner) composes per element
+		emit = func(elem any) error { return fn.ProcessElement(ctx, elem, next) }
 	}
-	// The per-stage emitter closure IS the fusion mechanism — the
-	// abstraction cost this benchmark exists to measure. Removing it
-	// would remove the thing under test.
-	//beamvet:allow hotalloc the chained emitter closure is the fused-stage hand-off under measurement
-	return f.fns[i].ProcessElement(ctx, elem, func(out any) error {
-		return f.process(i+1, ctx, out, emit)
-	})
+	return emit
 }
 
 // Setup implements beam.Setupper: every fused fn's hook runs in chain

@@ -56,13 +56,43 @@ func KafkaRead(p *Pipeline, b *broker.Broker, topic string) PCollection {
 // WithoutMetadata drops the broker metadata from a KafkaRecord
 // collection, yielding KV pairs — the withoutMetadata() call of KafkaIO.
 func WithoutMetadata(p *Pipeline, in PCollection) PCollection {
-	return ParDo(p, "WithoutMetadata", DoFnFunc(func(ctx Context, elem any, emit Emitter) error {
-		r, ok := elem.(KafkaRecord)
-		if !ok {
-			return fmt.Errorf("beam: WithoutMetadata: element %T is not a KafkaRecord", elem)
+	return ParDo(p, "WithoutMetadata", withoutMetadataFn{}, in, WithCoder(bytesKVCoder))
+}
+
+// bytesKVCoder codes the KV pairs WithoutMetadata yields.
+var bytesKVCoder = KVCoder{Key: BytesCoder{}, Value: BytesCoder{}}
+
+// withoutMetadataFn is the DoFn of WithoutMetadata.
+type withoutMetadataFn struct{}
+
+// ProcessElement implements DoFn.
+func (withoutMetadataFn) ProcessElement(ctx Context, elem any, emit Emitter) error {
+	r, ok := elem.(KafkaRecord)
+	if !ok {
+		return fmt.Errorf("beam: WithoutMetadata: element %T is not a KafkaRecord", elem)
+	}
+	return emit(KV{Key: r.Key, Value: r.Value})
+}
+
+// FrameRewrite implements FrameFn for KafkaRecord in and KV<bytes,bytes>
+// out. A KafkaRecord frame ends in its key and value laid out as a KV
+// frame, so the output is that tail — unless the tail is not what
+// Encode writes (a non-minimal length, bytes after the value), in which
+// case the pair is encoded afresh.
+func (withoutMetadataFn) FrameRewrite(in, out Coder) (func([]byte) ([]byte, error), bool) {
+	if in != Coder(KafkaRecordCoder{}) || out != Coder(bytesKVCoder) {
+		return nil, false
+	}
+	return func(frame []byte) ([]byte, error) {
+		f, err := splitKafkaRecord(frame)
+		if err != nil {
+			return nil, err
 		}
-		return emit(KV{Key: r.Key, Value: r.Value})
-	}), in, WithCoder(KVCoder{Key: BytesCoder{}, Value: BytesCoder{}}))
+		if n := kvFrameLen(f.key, f.value); n != len(f.kv) {
+			return appendKVFrame(make([]byte, 0, n), f.key, f.value), nil
+		}
+		return f.kv, nil
+	}, true
 }
 
 // KafkaWrite writes a collection's elements to a topic, the analogue of

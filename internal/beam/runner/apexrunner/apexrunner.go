@@ -1,7 +1,9 @@
 // Package apexrunner translates Beam pipelines into applications on the
 // Apex engine simulator. Its translation choices reproduce the paper's
 // most extreme result (Hesse et al., ICDCS 2019, Figure 11: slowdowns of
-// 32-58x for output-heavy queries but ~1x for grep):
+// 30–58x for output-heavy queries but ~1x for grep; 30–58x is the wider
+// band, also quoted in internal/simcost and internal/apex, and its lower
+// bound cannot be checked offline, as PAPER.md holds only the abstract):
 //
 //   - By default the ParDo chain is fused into a single Apex operator
 //     (an executable stage deployed with container-local stream
