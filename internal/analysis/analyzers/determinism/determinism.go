@@ -6,7 +6,10 @@
 // divergence waiting for the right seed. Three patterns are flagged:
 //
 //  1. time.Now — wall-clock reads. Event time must come from the
-//     record's query-time column, never from the host clock.
+//     record's query-time column, never from the host clock. Waits on
+//     the host clock — time.NewTicker, NewTimer, Tick, After, AfterFunc
+//     and Sleep — are flagged with it: what happens after one depends
+//     on real time, not on the records.
 //  2. math/rand and math/rand/v2 package-level functions — draws from
 //     the global, process-seeded source. Randomness must flow from an
 //     explicit seed (rand.New(rand.NewPCG(seed, ...))) so runs repeat.
@@ -16,8 +19,8 @@
 //     iteration order is deliberately randomized, so either pattern
 //     leaks that order into output.
 //
-// Legitimate uses (telemetry timestamps, duration measurement) are
-// annotated //beamvet:allow determinism <reason>.
+// Legitimate uses (telemetry timestamps, duration measurement,
+// sampling tickers) are annotated //beamvet:allow determinism <reason>.
 package determinism
 
 import (
@@ -77,6 +80,17 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
+// clockWaits are the package time functions that block on, or schedule
+// against, the host clock.
+var clockWaits = map[string]bool{
+	"NewTicker": true,
+	"NewTimer":  true,
+	"Tick":      true,
+	"After":     true,
+	"AfterFunc": true,
+	"Sleep":     true,
+}
+
 // randConstructors are the math/rand(/v2) package-level functions that
 // build explicitly seeded generators rather than drawing from the
 // global source.
@@ -98,8 +112,11 @@ func checkClockAndRand(pass *analysis.Pass, sel *ast.SelectorExpr) {
 	}
 	switch fn.Pkg().Path() {
 	case "time":
-		if fn.Name() == "Now" {
+		switch {
+		case fn.Name() == "Now":
 			pass.Reportf(sel.Pos(), "time.Now in output-producing package %s: derive event time from the record, not the host clock", pass.Pkg.Name())
+		case clockWaits[fn.Name()]:
+			pass.Reportf(sel.Pos(), "time.%s in output-producing package %s waits on the host clock: progress must follow the records, not real time", fn.Name(), pass.Pkg.Name())
 		}
 	case "math/rand", "math/rand/v2":
 		if !randConstructors[fn.Name()] {

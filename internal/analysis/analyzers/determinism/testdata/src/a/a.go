@@ -17,6 +17,21 @@ func clock() {
 	_ = time.Now() //beamvet:allow determinism trailing directive on the same line
 }
 
+func clockWaits(d time.Duration) {
+	_ = time.NewTicker(d)      // want `time.NewTicker in output-producing package a waits on the host clock`
+	_ = time.NewTimer(d)       // want `time.NewTimer in output-producing package a waits on the host clock`
+	_ = time.Tick(d)           // want `time.Tick in output-producing package a waits on the host clock`
+	<-time.After(d)            // want `time.After in output-producing package a waits on the host clock`
+	_ = time.AfterFunc(d, nop) // want `time.AfterFunc in output-producing package a waits on the host clock`
+	time.Sleep(d)              // want `time.Sleep in output-producing package a waits on the host clock`
+	//beamvet:allow determinism telemetry sampling, not record output
+	_ = time.NewTicker(d)
+	var t *time.Timer
+	_ = t.Reset(d) // a method on an existing timer: the call that made it was judged
+}
+
+func nop() {}
+
 func globalRand() {
 	_ = rand.Intn(7)                         // want `rand.Intn draws from the global rand source`
 	_ = randv2.IntN(7)                       // want `rand.IntN draws from the global rand source`

@@ -14,18 +14,18 @@ import (
 
 // ErrUnsupportedWindowing marks GroupByKey windowing shapes the shared
 // executable cannot run: a non-global window fn outside the supported
-// family (FixedWindows, SlidingWindows, Sessions), or non-global
-// windowing without an element-derived event-time extractor
-// (deterministic windowing is impossible once coder boundaries erased
-// the flow timestamps). It wraps beam.ErrUnsupported so runner and
+// family (FixedWindows, SlidingWindows), or non-global windowing
+// without an element-derived event-time extractor (deterministic
+// windowing is impossible once coder boundaries erased the flow
+// timestamps). It wraps beam.ErrUnsupported so runner and
 // harness callers can match it generically.
 var ErrUnsupportedWindowing = fmt.Errorf("%w: GroupByKey windowing", beam.ErrUnsupported)
 
 // GBKConfig parameterizes the shared GroupByKey executable.
 type GBKConfig struct {
 	// Windowing is the input collection's strategy: global windows (with
-	// an optional count trigger) or event-time windowing (fixed, sliding
-	// or session windows) with an EventTime extractor.
+	// an optional count trigger) or event-time windowing (fixed or
+	// sliding windows) with an EventTime extractor.
 	Windowing beam.WindowingStrategy
 	// Input is the KV boundary coder of the consumed collection.
 	Input beam.KVCoder
@@ -51,11 +51,11 @@ type GBKConfig struct {
 //   - Event-time windows: each element's windows are derived from the
 //     element itself (Windowing.EventTime applied to the KV value) via
 //     the strategy's window fn — one window under FixedWindows, several
-//     overlapping ones under SlidingWindows, merging key-local sessions
-//     under Sessions. The executable generates no watermark of its own:
-//     pane firing is driven entirely by the watermark the engine
-//     propagates through the dataflow as control events (stamped by the
-//     upstream WindowInto assigner) and delivered via OnWatermark.
+//     overlapping ones under SlidingWindows. The executable generates no
+//     watermark of its own: pane firing is driven entirely by the
+//     watermark the engine propagates through the dataflow as control
+//     events (stamped by the upstream WindowInto assigner) and delivered
+//     via OnWatermark.
 //     Windows the watermark has passed fire ascending by (end, start)
 //     with keys in first-seen order; Flush (the source met
 //     broker.EndOfInput, so the end-of-stream watermark arrived) fires
@@ -103,16 +103,6 @@ type windowAcc struct {
 	values []any
 }
 
-// mergeAcc coalesces two session accumulators; sessions merge ascending
-// by start, so values stay ordered by session start with later arrivals
-// appended.
-func mergeAcc(into *windowAcc, from windowAcc) {
-	if into.key == nil {
-		into.key = from.key
-	}
-	into.values = append(into.values, from.values...)
-}
-
 // assignerFor maps the SDK window fn onto the shared window-assignment
 // family.
 func assignerFor(fn beam.WindowFn) (watermark.Assigner, error) {
@@ -125,12 +115,6 @@ func assignerFor(fn beam.WindowFn) (watermark.Assigner, error) {
 		return a, nil
 	case beam.SlidingWindows:
 		a, err := watermark.NewSlidingAssigner(f.Size, f.Slide)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrUnsupportedWindowing, err)
-		}
-		return a, nil
-	case beam.Sessions:
-		a, err := watermark.NewSessionAssigner(f.Gap)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrUnsupportedWindowing, err)
 		}
@@ -164,7 +148,7 @@ func NewGBKState(cfg GBKConfig) (*GBKState, error) {
 	if ws.EventTime == nil {
 		return nil, fmt.Errorf("%w: non-global windowing without an event-time extractor", ErrUnsupportedWindowing)
 	}
-	state, err := watermark.NewWindowState[windowAcc](assigner, mergeAcc)
+	state, err := watermark.NewWindowState[windowAcc](assigner, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnsupportedWindowing, err)
 	}

@@ -217,6 +217,25 @@ func TestGBKStateRejectsUnsupportedWindowing(t *testing.T) {
 	if !errors.Is(err, beam.ErrUnsupported) {
 		t.Errorf("zero window size = %v, want beam.ErrUnsupported", err)
 	}
+	// A window fn outside the tumbling/sliding family.
+	_, err = NewGBKState(GBKConfig{
+		Windowing: beam.WindowingStrategy{Fn: gapWindows{gap: time.Second}, EventTime: valueEventTime},
+		Input:     kvCoder(),
+		Output:    beam.GroupedCoder{},
+	})
+	if !errors.Is(err, ErrUnsupportedWindowing) {
+		t.Errorf("unknown window fn = %v, want ErrUnsupportedWindowing", err)
+	}
+}
+
+// gapWindows is a window fn GBKState has no assigner for: each element
+// gets the proto-session [ts, ts+gap), as gap-based sessions would.
+type gapWindows struct{ gap time.Duration }
+
+func (f gapWindows) Name() string { return fmt.Sprintf("gapWindows(%v)", f.gap) }
+
+func (f gapWindows) AssignWindows(ts time.Time) []beam.Window {
+	return []beam.Window{beam.IntervalWindow{Start: ts, End: ts.Add(f.gap)}}
 }
 
 func TestEncodedKVKey(t *testing.T) {

@@ -106,24 +106,6 @@ func (f SlidingWindows) AssignWindows(ts time.Time) []Window {
 	return out
 }
 
-// Sessions assigns each element a proto-session [ts, ts+Gap) that a
-// merging grouping (graphx.GBKState) coalesces with every overlapping
-// or abutting session of the same key — gap-based session windows.
-type Sessions struct {
-	Gap time.Duration
-}
-
-// Name implements WindowFn.
-func (f Sessions) Name() string { return fmt.Sprintf("Sessions(%v)", f.Gap) }
-
-// AssignWindows implements WindowFn: the element's proto-session.
-func (f Sessions) AssignWindows(ts time.Time) []Window {
-	if f.Gap <= 0 {
-		return []Window{GlobalWindow{}}
-	}
-	return []Window{IntervalWindow{Start: ts, End: ts.Add(f.Gap)}}
-}
-
 // Trigger controls when aggregations over unbounded global windows may
 // fire; the SDK supports element-count triggers.
 type Trigger interface {

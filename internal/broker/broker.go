@@ -13,8 +13,8 @@
 //     independent of any engine-reported metrics.
 //
 // Producers batch by size with configurable acknowledgment levels;
-// consumers poll by explicit partition assignment or via a minimal
-// consumer-group coordinator. Per-call charges follow the simcost model.
+// consumers poll by explicit partition assignment. Per-call charges
+// follow the simcost model.
 //
 // Each partition's log is a sequence of fixed-size chunks (log.go), so
 // an append never moves or clears what is already stored. A record's
@@ -126,7 +126,6 @@ type Broker struct {
 
 	mu     sync.RWMutex
 	topics map[string]*topic
-	groups map[string]*group
 	closed bool
 	now    func() time.Time
 }
@@ -164,7 +163,6 @@ func WithClock(now func() time.Time) Option {
 func New(opts ...Option) *Broker {
 	b := &Broker{
 		topics: make(map[string]*topic),
-		groups: make(map[string]*group),
 		now:    time.Now,
 	}
 	for _, o := range opts {

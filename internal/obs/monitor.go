@@ -65,6 +65,7 @@ func (m *Monitor) Start() {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
+		//beamvet:allow determinism telemetry sampling ticker: it reads gauges, never record bytes
 		tick := time.NewTicker(m.interval)
 		defer tick.Stop()
 		for {

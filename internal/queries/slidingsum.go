@@ -107,12 +107,7 @@ func newPaneReference(a watermark.Assigner, agg watermark.AggKind,
 	value func(rec []byte) (int64, error),
 	format func(start time.Time, key []byte, value int64) []byte,
 ) *paneReference {
-	state, err := watermark.NewWindowState[refAcc](a, func(into *refAcc, from refAcc) {
-		into.acc.Merge(from.acc)
-		if from.lastInput > into.lastInput {
-			into.lastInput = from.lastInput
-		}
-	})
+	state, err := watermark.NewWindowState[refAcc](a, nil)
 	if err != nil {
 		panic(err) // static assigners; cannot fail
 	}

@@ -18,11 +18,6 @@ import (
 
 // Config controls a StreamingContext.
 type Config struct {
-	// BatchInterval is the micro-batch interval. In bounded benchmark
-	// runs backlogged batches run back-to-back (as real Spark does when
-	// processing lags); in Start/Stop mode the scheduler ticks at this
-	// interval. Defaults to 500ms.
-	BatchInterval time.Duration
 	// DefaultParallelism is spark.default.parallelism, the setting the
 	// paper uses to configure parallelism (Section III-A2). It sizes
 	// shuffles requested via RepartitionDefault. Defaults to 1.
@@ -33,12 +28,6 @@ type Config struct {
 }
 
 func (c *Config) validate() error {
-	if c.BatchInterval == 0 {
-		c.BatchInterval = 500 * time.Millisecond
-	}
-	if c.BatchInterval < 0 {
-		return fmt.Errorf("spark: negative batch interval %v", c.BatchInterval)
-	}
 	if c.DefaultParallelism == 0 {
 		c.DefaultParallelism = 1
 	}
@@ -65,11 +54,7 @@ type StreamingContext struct {
 	err     error
 	state   ctxState
 
-	stopCh chan struct{}
-	doneCh chan struct{}
-
 	mu      sync.Mutex
-	runErr  error
 	metrics StreamingMetrics
 }
 

@@ -55,6 +55,7 @@ func (ssc *StreamingContext) RunBounded() (StreamingMetrics, error) {
 			}
 			// Idle batch: the bounded source claims more data is coming
 			// (e.g. a concurrent producer); yield briefly.
+			//beamvet:allow determinism idle-batch yield: it only paces polls of a source with no records ready
 			time.Sleep(time.Millisecond)
 			continue
 		}
@@ -112,83 +113,15 @@ func lineageWatermark(ds *DStream) time.Time {
 	return w
 }
 
-// Start launches the micro-batch scheduler at the configured interval,
-// for unbounded operation. Use Stop to terminate and collect metrics.
-func (ssc *StreamingContext) Start() error {
-	if err := ssc.precheck(); err != nil {
-		return err
-	}
-	ssc.state = stateRunning
-	ssc.stopCh = make(chan struct{})
-	ssc.doneCh = make(chan struct{})
-	go ssc.schedulerLoop()
-	return nil
-}
-
-// Stop terminates a Start-ed context, waits for the scheduler to drain,
-// and returns the metrics and any batch error.
-func (ssc *StreamingContext) Stop() (StreamingMetrics, error) {
-	if ssc.state != stateRunning || ssc.stopCh == nil {
-		return ssc.snapshotMetrics(), fmt.Errorf("%w: not running", ErrContextState)
-	}
-	close(ssc.stopCh)
-	<-ssc.doneCh
-	ssc.state = stateStopped
-	ssc.mu.Lock()
-	defer ssc.mu.Unlock()
-	return ssc.metrics, ssc.runErr
-}
-
 // snapshotMetrics reads the metrics under the lock. The driver paths
 // that call it are sequential points (between batches, or before the
-// scheduler starts), but batch workers update the counters
-// concurrently during a batch, so every read pays for the lock rather
-// than reasoning per call site about which phase it runs in.
+// first one), but batch workers update the counters concurrently during
+// a batch, so every read pays for the lock rather than reasoning per
+// call site about which phase it runs in.
 func (ssc *StreamingContext) snapshotMetrics() StreamingMetrics {
 	ssc.mu.Lock()
 	defer ssc.mu.Unlock()
 	return ssc.metrics
-}
-
-func (ssc *StreamingContext) schedulerLoop() {
-	defer close(ssc.doneCh)
-	driver := ssc.cluster.cfg.Sim.NewMeter()
-	driver.Charge(ssc.cluster.cfg.Costs.EngineJobStart)
-	driver.Flush()
-	ticker := time.NewTicker(ssc.cfg.BatchInterval)
-	defer ticker.Stop()
-	var batchID int64
-	for {
-		select {
-		case <-ssc.stopCh:
-			return
-		case <-ticker.C:
-			batch := make(map[*DStream][][][]byte, len(ssc.inputs))
-			n := 0
-			var err error
-			for _, in := range ssc.inputs {
-				parts, _, perr := in.input.nextBatch(batchID)
-				if perr != nil {
-					err = perr
-					break
-				}
-				batch[in] = parts
-				n += countRecords(parts)
-			}
-			if err == nil && n > 0 {
-				err = ssc.runBatch(batchID, batch, driver)
-			}
-			if err != nil {
-				ssc.mu.Lock()
-				if ssc.runErr == nil {
-					ssc.runErr = err
-				}
-				ssc.mu.Unlock()
-				return
-			}
-			batchID++
-		}
-	}
 }
 
 func (ssc *StreamingContext) precheck() error {

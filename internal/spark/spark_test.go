@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"beambench/internal/broker"
 )
@@ -104,7 +103,6 @@ func TestConfigValidation(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{name: "negative interval", cfg: Config{BatchInterval: -time.Second}},
 		{name: "negative parallelism", cfg: Config{DefaultParallelism: -1}},
 		{name: "negative rate", cfg: Config{MaxRatePerPartition: -1}},
 	}
@@ -384,58 +382,6 @@ func TestMultipleOutputsRecompute(t *testing.T) {
 	}
 	if evens.len() != 25 || all.len() != 50 {
 		t.Errorf("outputs = %d, %d; want 25, 50", evens.len(), all.len())
-	}
-}
-
-func TestStartStopStreaming(t *testing.T) {
-	b := broker.New()
-	if err := b.CreateTopic("in", broker.TopicConfig{Partitions: 1}); err != nil {
-		t.Fatal(err)
-	}
-	cluster := newTestCluster(t, ClusterConfig{})
-	ssc := newContext(t, cluster, Config{BatchInterval: 5 * time.Millisecond})
-	out := &collector{}
-	ssc.KafkaDirectStream(b, "in", 0).ForeachRecord("c", out.add)
-	if err := ssc.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// Produce while the scheduler runs.
-	p, err := b.NewProducer(broker.ProducerConfig{BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range 20 {
-		if err := p.Send("in", nil, []byte(fmt.Sprintf("live-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for out.len() < 20 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	m, err := ssc.Stop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.len() != 20 {
-		t.Errorf("collected %d records, want 20", out.len())
-	}
-	if m.Batches == 0 {
-		t.Error("no batches executed")
-	}
-	if _, err := ssc.Stop(); err == nil {
-		t.Error("second Stop succeeded")
-	}
-}
-
-func TestStopWithoutStart(t *testing.T) {
-	cluster := newTestCluster(t, ClusterConfig{})
-	ssc := newContext(t, cluster, Config{})
-	if _, err := ssc.Stop(); !errors.Is(err, ErrContextState) {
-		t.Errorf("Stop without Start = %v, want ErrContextState", err)
 	}
 }
 

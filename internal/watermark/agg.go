@@ -61,21 +61,6 @@ func (a *NumAcc) Add(v int64) {
 	a.Sum += v
 }
 
-// Merge folds another accumulator in (session-window coalescing).
-func (a *NumAcc) Merge(b NumAcc) {
-	if b.Count == 0 {
-		return
-	}
-	if a.Count == 0 || b.Min < a.Min {
-		a.Min = b.Min
-	}
-	if a.Count == 0 || b.Max > a.Max {
-		a.Max = b.Max
-	}
-	a.Count += b.Count
-	a.Sum += b.Sum
-}
-
 // Result reduces the accumulator under the given kind.
 func (a NumAcc) Result(kind AggKind) int64 {
 	switch kind {

@@ -83,14 +83,9 @@ func truncate(ns, d int64) int64 {
 // Assigner maps an event time to the set of windows containing it — the
 // window-assignment half of a windowing strategy. Tumbling windows
 // assign one window per record, sliding windows several overlapping
-// ones, and session windows a per-record proto-window that merges with
-// overlapping sessions of the same key (see Merges). The three
+// ones; either way the windows are the same for every key. The two
 // implementations live in this package; the interface is closed.
 type Assigner interface {
-	// Merges reports whether assigned windows merge per key (sessions).
-	// Non-merging windows are identical across keys; merging windows are
-	// key-local and grow as overlapping records arrive.
-	Merges() bool
 	// Name labels the assigner for errors and plan rendering.
 	Name() string
 
@@ -120,9 +115,6 @@ func (a TumblingAssigner) appendSpans(dst []span, ns int64) []span {
 	start := truncate(ns, int64(a.Size))
 	return append(dst, span{start: start, end: satAdd(start, int64(a.Size))})
 }
-
-// Merges reports false: tumbling windows never merge.
-func (a TumblingAssigner) Merges() bool { return false }
 
 // Name labels the assigner.
 func (a TumblingAssigner) Name() string { return fmt.Sprintf("tumbling(%v)", a.Size) }
@@ -164,34 +156,5 @@ func (a SlidingAssigner) appendSpans(dst []span, ns int64) []span {
 	return dst
 }
 
-// Merges reports false: sliding windows overlap but never merge.
-func (a SlidingAssigner) Merges() bool { return false }
-
 // Name labels the assigner.
 func (a SlidingAssigner) Name() string { return fmt.Sprintf("sliding(%v/%v)", a.Size, a.Slide) }
-
-// SessionAssigner assigns a per-record proto-window [t, t+Gap) that the
-// window state merges with any overlapping session of the same key —
-// gap-based session windows.
-type SessionAssigner struct {
-	Gap time.Duration
-}
-
-// NewSessionAssigner validates the gap.
-func NewSessionAssigner(gap time.Duration) (SessionAssigner, error) {
-	if gap <= 0 {
-		return SessionAssigner{}, fmt.Errorf("watermark: session gap must be positive, got %v", gap)
-	}
-	return SessionAssigner{Gap: gap}, nil
-}
-
-// appendSpans appends the record's proto-session.
-func (a SessionAssigner) appendSpans(dst []span, ns int64) []span {
-	return append(dst, span{start: ns, end: satAdd(ns, int64(a.Gap))})
-}
-
-// Merges reports true: overlapping sessions of one key coalesce.
-func (a SessionAssigner) Merges() bool { return true }
-
-// Name labels the assigner.
-func (a SessionAssigner) Name() string { return fmt.Sprintf("sessions(%v)", a.Gap) }

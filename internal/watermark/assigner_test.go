@@ -25,9 +25,6 @@ func TestAssignerValidation(t *testing.T) {
 	if _, err := NewSlidingAssigner(time.Second, 2*time.Second); err == nil {
 		t.Error("slide exceeding size accepted (would drop records)")
 	}
-	if _, err := NewSessionAssigner(-time.Second); err == nil {
-		t.Error("negative session gap accepted")
-	}
 }
 
 // checkSpans asserts the assigner invariants every caller relies on:
@@ -145,11 +142,6 @@ func TestAssignMatchesTimeArithmetic(t *testing.T) {
 			assigners = append(assigners, sl)
 		}
 	}
-	sess, err := NewSessionAssigner(3 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assigners = append(assigners, sess)
 
 	rng := rand.New(rand.NewSource(1))
 	bases := []time.Time{epoch, time.Unix(0, 0), time.Date(1969, time.July, 20, 20, 17, 40, 0, time.UTC), time.Date(2200, time.January, 1, 0, 0, 0, 0, time.UTC)}
@@ -227,76 +219,6 @@ func TestWindowsAtTheEndsOfTime(t *testing.T) {
 	}
 	if s.Open() != 0 {
 		t.Errorf("open windows after FireAll = %d, want 0", s.Open())
-	}
-}
-
-// sessionPanes drains a count-accumulating session state into
-// "startOffset/endOffset:key=count" strings for compact assertions.
-func sessionPanes(t *testing.T, s *WindowState[int64]) []string {
-	t.Helper()
-	var out []string
-	err := s.FireAll(func(p Pane[int64]) error {
-		out = append(out, fmt.Sprintf("%v/%v:%s=%d", p.Start.Sub(epoch), p.End.Sub(epoch), p.Key, p.Acc))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestSessionMergeOutOfOrder is the merging edge case: two sessions of
-// one key that are initially disjoint coalesce when a later,
-// out-of-order record bridges the gap — and an unrelated key's session
-// stays separate.
-func TestSessionMergeOutOfOrder(t *testing.T) {
-	a, err := NewSessionAssigner(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewWindowState[int64](a, func(into *int64, from int64) { *into += from })
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc := func(c *int64) { *c++ }
-	s.Upsert(epoch, "u", inc)
-	s.Upsert(epoch.Add(15*time.Second), "u", inc)
-	if s.Open() != 2 {
-		t.Fatalf("open sessions = %d, want 2 disjoint", s.Open())
-	}
-	// The bridge arrives out of order: [8,18) overlaps both [0,10) and
-	// [15,25), merging them into one [0,25) session.
-	s.Upsert(epoch.Add(8*time.Second), "u", inc)
-	s.Upsert(epoch.Add(40*time.Second), "v", inc)
-	if s.Open() != 2 {
-		t.Fatalf("open sessions after merge = %d, want 2", s.Open())
-	}
-	got := sessionPanes(t, s)
-	want := []string{"0s/25s:u=3", "40s/50s:v=1"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("panes = %v, want %v", got, want)
-	}
-}
-
-// TestSessionAbuttingRecordsMerge pins the gap boundary: a record at
-// exactly previousEnd extends the session rather than opening a new
-// one (sessions merge on overlap or abutment).
-func TestSessionAbuttingRecordsMerge(t *testing.T) {
-	a, err := NewSessionAssigner(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewWindowState[int64](a, func(into *int64, from int64) { *into += from })
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc := func(c *int64) { *c++ }
-	s.Upsert(epoch, "u", inc)
-	s.Upsert(epoch.Add(10*time.Second), "u", inc)
-	got := sessionPanes(t, s)
-	want := []string{"0s/20s:u=2"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("panes = %v, want %v", got, want)
 	}
 }
 

@@ -45,7 +45,7 @@ type Operator interface {
 
 // AggConfig parameterizes the keyed windowed aggregate (AggOperator).
 type AggConfig struct {
-	// Assigner selects the window family: tumbling, sliding or session.
+	// Assigner selects the window family: tumbling or sliding.
 	Assigner Assigner
 	// Agg selects the reduction over Value.
 	Agg AggKind
@@ -96,7 +96,7 @@ func NewAggOperator(cfg AggConfig) (*AggOperator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	state, err := NewWindowState(cfg.Assigner, func(into *NumAcc, from NumAcc) { into.Merge(from) })
+	state, err := NewWindowState[NumAcc](cfg.Assigner, nil)
 	if err != nil {
 		return nil, err
 	}

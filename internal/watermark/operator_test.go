@@ -106,7 +106,6 @@ func TestNewAggOperatorValidation(t *testing.T) {
 		"nil event time":    {func(c *AggConfig) { c.EventTime = nil }, false},
 		"nil key":           {func(c *AggConfig) { c.Key = nil }, false},
 		"nil format":        {func(c *AggConfig) { c.Format = nil }, false},
-		"merging assigner":  {func(c *AggConfig) { c.Assigner = mustSession(t, time.Second) }, true},
 		"sliding assigner":  {func(c *AggConfig) { c.Assigner = mustSliding(t, 2*time.Second, time.Second) }, true},
 		"every agg kind ok": {func(c *AggConfig) { c.Agg = AggAvg }, true},
 	} {
@@ -122,15 +121,6 @@ func TestNewAggOperatorValidation(t *testing.T) {
 			}
 		})
 	}
-}
-
-func mustSession(t *testing.T, gap time.Duration) Assigner {
-	t.Helper()
-	a, err := NewSessionAssigner(gap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
 }
 
 func mustSliding(t *testing.T, size, slide time.Duration) Assigner {
@@ -183,18 +173,6 @@ func TestAggOperatorAggKinds(t *testing.T) {
 	d.process("0|a|x", "0|a|y") // value column unread
 	if got, want := d.fired(d.op.Flush(d.emit)), "0:a=2"; got != want {
 		t.Errorf("count without Value = %q, want %q", got, want)
-	}
-}
-
-// TestAggOperatorSessionsMerge runs the operator under a merging
-// assigner: a key's records within the gap coalesce into one pane.
-func TestAggOperatorSessionsMerge(t *testing.T) {
-	cfg := aggTestConfig(t, AggSum)
-	cfg.Assigner = mustSession(t, 2*time.Second)
-	d := newAggDriver(t, cfg)
-	d.process("0|a|1", "5|a|10", "1|a|2")
-	if got, want := d.fired(d.op.Flush(d.emit)), "0:a=3 5:a=10"; got != want {
-		t.Errorf("session panes = %q, want %q", got, want)
 	}
 }
 

@@ -25,20 +25,14 @@ func assign(a Assigner, t time.Time) []Span {
 }
 
 // oracleState is the window state as it was before the open windows
-// were kept ordered: spans are time.Time pairs, windows live in a map
-// and are sorted at every FireReady, and a key's sessions are re-sorted
-// on every upsert. It survives as the reference the differential test
-// below holds WindowState to.
+// were kept ordered: spans are time.Time pairs, and windows live in a
+// map and are sorted at every FireReady. It survives as the reference
+// the differential test below holds WindowState to.
 type oracleState[T any] struct {
 	assigner Assigner
-	merge    func(into *T, from T)
 
 	windows map[Span]*oracleGroup[T]
 	spans   []Span
-
-	sessions map[string][]*oracleSession[T]
-	keyRank  map[string]int
-	nextRank int
 }
 
 type oracleGroup[T any] struct {
@@ -46,19 +40,8 @@ type oracleGroup[T any] struct {
 	order []string
 }
 
-type oracleSession[T any] struct {
-	span Span
-	acc  T
-}
-
-func newOracleState[T any](a Assigner, merge func(into *T, from T)) *oracleState[T] {
-	return &oracleState[T]{
-		assigner: a,
-		merge:    merge,
-		windows:  make(map[Span]*oracleGroup[T]),
-		sessions: make(map[string][]*oracleSession[T]),
-		keyRank:  make(map[string]int),
-	}
+func newOracleState[T any](a Assigner) *oracleState[T] {
+	return &oracleState[T]{assigner: a, windows: make(map[Span]*oracleGroup[T])}
 }
 
 // oracleAssign is window assignment in time.Time arithmetic.
@@ -74,17 +57,11 @@ func oracleAssign(a Assigner, t time.Time) []Span {
 		}
 		slices.Reverse(spans)
 		return spans
-	case SessionAssigner:
-		return []Span{{Start: t, End: t.Add(a.Gap)}}
 	}
 	panic(fmt.Sprintf("oracle: unknown assigner %T", a))
 }
 
 func (s *oracleState[T]) Upsert(t time.Time, key string, update func(*T)) {
-	if s.assigner.Merges() {
-		s.upsertSession(t, key, update)
-		return
-	}
 	for _, span := range oracleAssign(s.assigner, t) {
 		g, ok := s.windows[span]
 		if !ok {
@@ -102,37 +79,7 @@ func (s *oracleState[T]) Upsert(t time.Time, key string, update func(*T)) {
 	}
 }
 
-func (s *oracleState[T]) upsertSession(t time.Time, key string, update func(*T)) {
-	if _, ok := s.keyRank[key]; !ok {
-		s.keyRank[key] = s.nextRank
-		s.nextRank++
-	}
-	proto := oracleAssign(s.assigner, t)[0]
-	merged := &oracleSession[T]{span: proto}
-	var rest []*oracleSession[T]
-	existing := s.sessions[key]
-	sort.SliceStable(existing, func(i, j int) bool { return existing[i].span.Start.Before(existing[j].span.Start) })
-	for _, sess := range existing {
-		if !sess.span.End.Before(proto.Start) && !proto.End.Before(sess.span.Start) {
-			if sess.span.Start.Before(merged.span.Start) {
-				merged.span.Start = sess.span.Start
-			}
-			if sess.span.End.After(merged.span.End) {
-				merged.span.End = sess.span.End
-			}
-			s.merge(&merged.acc, sess.acc)
-		} else {
-			rest = append(rest, sess)
-		}
-	}
-	update(&merged.acc)
-	s.sessions[key] = append(rest, merged)
-}
-
 func (s *oracleState[T]) FireReady(w time.Time, emit func(Pane[T]) error) error {
-	if s.assigner.Merges() {
-		return s.fireSessions(w, emit)
-	}
 	sort.Slice(s.spans, func(i, j int) bool {
 		if !s.spans[i].End.Equal(s.spans[j].End) {
 			return s.spans[i].End.Before(s.spans[j].End)
@@ -159,51 +106,7 @@ func (s *oracleState[T]) FireReady(w time.Time, emit func(Pane[T]) error) error 
 	return nil
 }
 
-func (s *oracleState[T]) fireSessions(w time.Time, emit func(Pane[T]) error) error {
-	type ready struct {
-		key  string
-		sess *oracleSession[T]
-	}
-	var due []ready
-	for key, sessions := range s.sessions {
-		for _, sess := range sessions {
-			if !w.Before(sess.span.End) {
-				due = append(due, ready{key: key, sess: sess})
-			}
-		}
-	}
-	sort.Slice(due, func(i, j int) bool {
-		a, b := due[i].sess.span, due[j].sess.span
-		if !a.Start.Equal(b.Start) {
-			return a.Start.Before(b.Start)
-		}
-		if !a.End.Equal(b.End) {
-			return a.End.Before(b.End)
-		}
-		return s.keyRank[due[i].key] < s.keyRank[due[j].key]
-	})
-	for _, r := range due {
-		if err := emit(Pane[T]{Start: r.sess.span.Start, End: r.sess.span.End, Key: r.key, Acc: r.sess.acc}); err != nil {
-			return err
-		}
-		s.sessions[r.key] = slices.DeleteFunc(s.sessions[r.key], func(sess *oracleSession[T]) bool { return sess == r.sess })
-		if len(s.sessions[r.key]) == 0 {
-			delete(s.sessions, r.key)
-		}
-	}
-	return nil
-}
-
-func (s *oracleState[T]) Open() int {
-	if s.assigner.Merges() {
-		n := 0
-		for _, sessions := range s.sessions {
-			n += len(sessions)
-		}
-		return n
-	}
-	return len(s.windows)
-}
+func (s *oracleState[T]) Open() int { return len(s.windows) }
 
 // TestWindowStateMatchesSortAtFireOracle drives WindowState and the
 // oracle with the same generated operations — upserts whose event times
@@ -212,11 +115,10 @@ func (s *oracleState[T]) Open() int {
 // and with emit errors followed by a retry — and requires the identical
 // pane sequence, emit for emit, and the identical Open() after every
 // step. The accumulator is the list of record ordinals, so a different
-// merge or arrival order shows as a different pane.
+// arrival order shows as a different pane.
 func TestWindowStateMatchesSortAtFireOracle(t *testing.T) {
 	tumbling := func(size time.Duration) Assigner { return must(NewTumblingAssigner(size)) }
 	sliding := func(size, slide time.Duration) Assigner { return must(NewSlidingAssigner(size, slide)) }
-	session := func(gap time.Duration) Assigner { return must(NewSessionAssigner(gap)) }
 
 	for _, tc := range []struct {
 		name     string
@@ -233,8 +135,6 @@ func TestWindowStateMatchesSortAtFireOracle(t *testing.T) {
 		{"sliding-2s/1s", sliding(2*time.Second, time.Second), 300 * time.Millisecond, 3},
 		{"sliding-3s/2s", sliding(3*time.Second, 2*time.Second), 500 * time.Millisecond, 2 * scanLimit},
 		{"sliding-1s/300ms", sliding(time.Second, 300*time.Millisecond), 120 * time.Millisecond, 2},
-		{"sessions-3s", session(3 * time.Second), 1500 * time.Millisecond, 4},
-		{"sessions-1s-sparse", session(time.Second), 900 * time.Millisecond, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 20; seed++ {
@@ -247,12 +147,11 @@ func TestWindowStateMatchesSortAtFireOracle(t *testing.T) {
 func runOracleCase(t *testing.T, a Assigner, step time.Duration, keys int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	merge := func(into *[]int, from []int) { *into = append(*into, from...) }
-	got, err := NewWindowState[[]int](a, merge)
+	got, err := NewWindowState[[]int](a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := newOracleState[[]int](a, merge)
+	want := newOracleState[[]int](a)
 
 	// fire runs FireReady on both states, failing the emit numbered
 	// failAt (none when negative), and returns what each emitted.

@@ -32,9 +32,8 @@
 // all inputs.
 //
 // Window assignment is factored out of the pane state: an Assigner
-// (assigner.go) maps an event time to its windows — tumbling (one),
-// sliding (several overlapping), or session (a per-key proto-window
-// that merges with overlapping sessions). WindowState (windowstate.go)
+// (assigner.go) maps an event time to its windows — tumbling (one) or
+// sliding (several overlapping). WindowState (windowstate.go)
 // accumulates per-(window, key) state under any Assigner and fires
 // panes in a deterministic order once the watermark passes a window's
 // end; NumAcc with an AggKind (agg.go) provides the numeric aggregates
@@ -65,10 +64,10 @@
 //     FireReady never sorts, and when nothing is due it is one integer
 //     comparison against the earliest end, however many windows are
 //     open. Engines that deliver a watermark per record (Flink) make
-//     that call per record. A key's sessions are kept ordered the same
-//     way. Inside the state, instants are int64 Unix nanoseconds;
-//     time.Time instants outside that range (years 1678–2262) saturate
-//     to its ends, and EndOfTime is exactly its upper end.
+//     that call per record. Inside the state, instants are int64 Unix
+//     nanoseconds; time.Time instants outside that range (years
+//     1678–2262) saturate to its ends, and EndOfTime is exactly its
+//     upper end.
 //   - Pane access. WindowState.Panes(t, key) returns the accumulators
 //     of every window assigned to t for the key, and the caller folds
 //     the record into each: no update closure, no string conversion of
