@@ -22,11 +22,10 @@
 //	beambench -query windowedcount -ingest stream -trace trace.json  # Chrome trace (Perfetto)
 //	beambench -trace-summary trace.json  # top stages by wall time + peak lag, offline
 //	beambench -figure 6 -workers 1 -cpuprofile prof/ -memprofile prof/  # pprof per cell
-//	beambench -all -serve :9090          # live /metrics, /snapshot, /debug/pprof during the run
+//	beambench -all -serve :9090          # live /snapshot, /debug/pprof during the run
 //	beambench -watch localhost:9090      # in-flight dashboard against a -serve instance
 //
 // -serve starts the live telemetry plane for the duration of the run:
-// /metrics speaks OpenMetrics text (scrapeable by Prometheus),
 // /snapshot returns the versioned JSON view the -watch dashboard
 // renders, and /debug/pprof exposes the standard profiles. The plane is
 // pull-based — nothing is sampled unless something scrapes — so it adds
@@ -123,7 +122,7 @@ func run(args []string, out io.Writer) error {
 		cpuProfile   = fs.String("cpuprofile", "", "write one pprof CPU profile per matrix cell into this directory (requires -workers 1)")
 		memProfile   = fs.String("memprofile", "", "write one pprof heap profile per matrix cell into this directory")
 
-		serveAddr     = fs.String("serve", "", "serve live telemetry on this address during the run: /metrics (OpenMetrics), /snapshot (JSON), /debug/pprof (e.g. :9090)")
+		serveAddr     = fs.String("serve", "", "serve live telemetry on this address during the run: /snapshot (JSON), /debug/pprof (e.g. :9090)")
 		watchURL      = fs.String("watch", "", "watch a running beambench -serve instance at this URL (or host:port) and exit when its matrix completes")
 		watchInterval = fs.Duration("watch-interval", 500*time.Millisecond, "refresh cadence for -watch")
 	)
@@ -241,7 +240,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-serve %s: %w", *serveAddr, err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "  serving live telemetry on %s (/metrics /snapshot /debug/pprof)\n", srv.URL())
+		fmt.Fprintf(os.Stderr, "  serving live telemetry on %s (/snapshot /debug/pprof)\n", srv.URL())
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "benchmarking %d records x %d runs x %d queries x 12 setups (%d workers, ingest=%s)\n",

@@ -91,7 +91,7 @@ func run(args []string, out io.Writer) error {
 // printLatency pairs each output record with the input record that
 // produced it via queries.SurvivorIndex — the identical logic the
 // harness uses in-process — and prints the latency quantiles through
-// the same CKMS sketch.
+// the same exact summary.
 func printLatency(out io.Writer, b *broker.Broker, inTopic, outTopic, queryArg string, seed uint64) error {
 	q, err := queries.ParseQuery(queryArg)
 	if err != nil {

@@ -102,8 +102,10 @@
 //	          with its input record's append time (the queries are
 //	          deterministic, so outputs match FIFO against the surviving
 //	          inputs' expected payloads — robust to parallel partitions
-//	          interleaving the output topic) and feeds a CKMS
-//	          biased-quantile sketch per cell
+//	          interleaving the output topic) and appends the
+//	          differences to the cell's collector, which sorts them once
+//	          for exact nearest-rank quantiles and keeps only the
+//	          summary when the cell ends
 //	report    Cell.Latency (p50/p90/p99/max) and Cell.Stages, printed by
 //	          `beambench -latency` and included in -json output
 //
@@ -119,7 +121,7 @@
 // queueing from time zero. In stream mode (`beambench -ingest stream
 // -rate N`) the sender runs concurrently with the engine — the paper's
 // Figure 5 architecture — paced at N records/second on the simulated
-// clock, so the latency sketches measure processing delay under a
+// clock, so the latency quantiles measure processing delay under a
 // controlled offered load. Every engine source terminates via a shared
 // end-of-input contract (broker.EndOfInput, fed from
 // queries.Workload.InputRecords / beam.Options.TargetRecords: consume

@@ -2,9 +2,9 @@
 // paper scale a cell pushes 10^6+ records through every operator, so
 // one avoidable allocation per record is a million allocations per
 // run, GC pressure that skews exactly the sustained-rate measurements
-// the benchmark exists to take, and the difference between the
-// metrics sketch's ~100ns/0-alloc insert and a hot path that spends
-// its budget in the allocator. The analyzer walks the same-package
+// the benchmark exists to take, and the difference between a few
+// nanoseconds of work per record and a hot path that spends its budget
+// in the allocator. The analyzer walks the same-package
 // call graph from the known per-record entry points — engine operator
 // Process/emit paths, graphx fused fns, coder round-trips, and the
 // metrics record hooks — and flags, on any function it reaches:
@@ -85,7 +85,7 @@ var rootNames = map[string]bool{
 	"Decode":         true,
 	"Mark":           true, // metrics record hooks
 	"MarkAt":         true,
-	"Insert":         true, // sketch insert
+	"Insert":         true, // latency sketch append
 	"Send":           true, // broker producer: where the one record copy lives
 	"SendAt":         true,
 	"Collect":        true, // flink collectors (task-boundary hand-off)

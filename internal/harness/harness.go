@@ -17,7 +17,7 @@
 // is dominated by queueing from time zero. In stream mode the sender
 // runs concurrently with the engine — as in the paper's Figure 5 — and
 // is paced at Config.RateRecordsPerSec on the simulated clock, so the
-// latency sketches measure processing delay under a controlled offered
+// latency quantiles measure processing delay under a controlled offered
 // load and execution time stretches to at least the sending window.
 // The two modes produce identical outputs (byte-identical in order at
 // parallelism 1, as an order-insensitive multiset above it): every
@@ -130,7 +130,7 @@ const (
 	// IngestStream runs the data sender concurrently with query
 	// execution, pacing it at Config.RateRecordsPerSec on the simcost
 	// clock — the architecture of the paper's Figure 5, and the mode in
-	// which the latency sketches measure processing delay under a
+	// which the latency quantiles measure processing delay under a
 	// controlled offered load.
 	IngestStream
 )
@@ -255,7 +255,7 @@ type Config struct {
 	Fusion beam.FusionMode
 	// CollectMetrics enables the telemetry subsystem: per-record
 	// event-time latency (output append time minus input append time,
-	// from broker timestamps alone) sketched per cell, and per-stage
+	// from broker timestamps alone) summarized per cell, and per-stage
 	// throughput reported by every engine. Adds the Latency and Stages
 	// blocks to the report; see internal/metrics.
 	CollectMetrics bool
@@ -798,6 +798,12 @@ func (r *Runner) runCell(ctx context.Context, setup Setup) ([]RunResult, error) 
 
 func (r *Runner) runCellRuns(ctx context.Context, setup Setup) ([]RunResult, error) {
 	lc := r.cfg.Plane.Cell(cellKey(setup))
+	// However the cell ends, its latency summary is final now: fix it
+	// and release the per-record samples behind it.
+	defer func() {
+		col, _ := r.metrics.Get(cellKey(setup))
+		col.Seal()
+	}()
 	out := make([]RunResult, 0, r.cfg.Runs)
 	for run := range r.cfg.Runs {
 		if err := ctx.Err(); err != nil {

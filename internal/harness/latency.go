@@ -46,7 +46,7 @@ func (r *Runner) survivorIndex(q queries.Query) (*queries.SurvivorIndex, error) 
 // partitions interleaving the output topic) and feeds the append-time
 // differences — per-record event-time latency in the sense of Karimov
 // et al. (ICDE 2018), including broker queueing time — into the cell's
-// sketch. Both timestamps come from the broker alone, so native and
+// collector. Both timestamps come from the broker alone, so native and
 // Beam cells are measured identically.
 func (r *Runner) observeLatencies(b *broker.Broker, setup Setup, col *metrics.Collector) error {
 	ix, err := r.survivorIndex(setup.Query)
@@ -55,7 +55,7 @@ func (r *Runner) observeLatencies(b *broker.Broker, setup Setup, col *metrics.Co
 	}
 	// The pairing walks one partition; the benchmark topics are created
 	// single-partition (the paper's configuration), and a loud error
-	// here beats silently sketching a subset if that ever changes.
+	// here beats silently summarizing a subset if that ever changes.
 	if parts, err := b.Partitions(outputTopic); err != nil {
 		return err
 	} else if parts != 1 {

@@ -329,3 +329,57 @@ func TestParallelMatrixCarriesMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestFinishedCellReleasesSamples: once RunCell returns, the cell's
+// collector has fixed its latency summary and dropped the per-record
+// samples. The summary read just before the cell ends (from the
+// progress line runCellRuns emits after its last run) equals the one
+// read after, and the report's Latency block is that same summary.
+func TestFinishedCellReleasesSamples(t *testing.T) {
+	var r *Runner
+	var before metrics.LatencySummary
+	setup := Setup{System: SystemFlink, API: APINative, Query: queries.Identity, Parallelism: 1}
+	r, err := New(Config{
+		Records:        500,
+		Runs:           2,
+		DisableNoise:   true,
+		CollectMetrics: true,
+		Progress: func(string) {
+			col, _ := r.Metrics().Get(cellKey(setup))
+			before = col.LatencySummary()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RunCell(setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, ok := r.Metrics().Get(cellKey(setup))
+	if !ok {
+		t.Fatal("no collector for the cell")
+	}
+	if before.Count != 2*500 {
+		t.Fatalf("summary before the cell ended covers %d records, want %d", before.Count, 2*500)
+	}
+	if after := col.LatencySummary(); after != before {
+		t.Fatalf("LatencySummary after the cell = %+v, before = %+v", after, before)
+	}
+	rep, err := BuildReport(r.Config(), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.AttachMetrics(r.Metrics())
+	if lat := rep.Cells[0].Latency; lat == nil || *lat != before {
+		t.Fatalf("report latency = %+v, want %+v", lat, before)
+	}
+	// A sealed collector holds no samples and takes none: observing
+	// into it panics.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("finished cell's collector still accepts observations")
+		}
+	}()
+	col.ObserveLatencySeconds([]float64{1})
+}

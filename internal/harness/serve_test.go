@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -42,26 +41,13 @@ func scrape(c *http.Client, url string) (string, error) {
 	return string(body), nil
 }
 
-// counterKey identifies one counter sample across scrapes by family and
-// full label set.
-func counterKey(p obs.MetricPoint) string {
-	var sb strings.Builder
-	sb.WriteString(p.Name)
-	for _, k := range []string{"cell", "stage", "topic", "partition", "operator", "state", "quantile"} {
-		if v, ok := p.Labels[k]; ok {
-			sb.WriteString("|" + k + "=" + v)
-		}
-	}
-	return sb.String()
-}
-
 // TestServeMidRunConformance runs a windowed stream-mode cell with the
-// telemetry plane attached and scrapes /metrics and /snapshot
-// throughout: every scrape must parse as OpenMetrics with TYPE and HELP
-// on every family, counters must be monotonic across scrapes, and the
-// final snapshot must show the cell done. Several scrapers hammer the
-// server concurrently with the run, so the whole path is exercised
-// under -race.
+// telemetry plane attached and scrapes /snapshot throughout: every
+// scrape must decode under the current schema, the cell's counters must
+// never decrease across one scraper's scrapes, and the final snapshot
+// must show the cell done. Several scrapers hammer the server
+// concurrently with the run, so the whole path is exercised under
+// -race.
 func TestServeMidRunConformance(t *testing.T) {
 	const records = 2_000
 	plane := obs.NewPlane(records, 1)
@@ -107,41 +93,15 @@ func TestServeMidRunConformance(t *testing.T) {
 			c := &http.Client{Transport: tr, Timeout: 10 * time.Second}
 			// Each scraper checks monotonicity over its own ordered
 			// sequence of scrapes.
-			last := map[string]float64{}
+			last := map[string]int64{}
 			for {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				body, err := scrape(c, srv.URL()+"/metrics")
+				body, err := scrape(c, srv.URL()+"/snapshot")
 				if err != nil {
-					errc <- err
-					return
-				}
-				fams, err := obs.ParseOpenMetrics(strings.NewReader(body))
-				if err != nil {
-					errc <- fmt.Errorf("scrape %d does not parse: %w", scrapes[idx], err)
-					return
-				}
-				for _, f := range fams {
-					if f.Type == "" || f.Help == "" {
-						errc <- fmt.Errorf("family %q missing TYPE/HELP", f.Name)
-						return
-					}
-					if f.Type != "counter" {
-						continue
-					}
-					for _, p := range f.Points {
-						k := counterKey(p)
-						if prev, ok := last[k]; ok && p.Value < prev {
-							errc <- fmt.Errorf("counter %s went backwards: %v -> %v", k, prev, p.Value)
-							return
-						}
-						last[k] = p.Value
-					}
-				}
-				if body, err = scrape(c, srv.URL()+"/snapshot"); err != nil {
 					errc <- err
 					return
 				}
@@ -152,6 +112,10 @@ func TestServeMidRunConformance(t *testing.T) {
 				}
 				if snap.Schema != obs.SnapshotSchemaVersion {
 					errc <- fmt.Errorf("/snapshot schema = %d", snap.Schema)
+					return
+				}
+				if err := monotone(last, snap); err != nil {
+					errc <- fmt.Errorf("scrape %d: %w", scrapes[idx], err)
 					return
 				}
 				scrapes[idx]++
@@ -207,34 +171,34 @@ func TestServeMidRunConformance(t *testing.T) {
 		t.Fatalf("final cell latency = %+v", cell.Latency)
 	}
 
-	body, err = scrape(c, srv.URL()+"/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fams, err := obs.ParseOpenMetrics(strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("final exposition does not parse: %v", err)
-	}
-	names := obs.FamilyNames(fams)
-	for _, want := range []string{
-		"beambench_uptime_seconds",
-		"beambench_workload_records",
-		"beambench_cells",
-		"beambench_cell_runs_completed",
-		"beambench_stage_records",
-		"beambench_latency_seconds",
-	} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-				break
+}
+
+// monotone checks one scrape against the previous scrape of the same
+// scraper: for the one-run cell the test drives, runs done, every
+// stage's record count, the latency count and both topic end offsets
+// only ever grow. last carries the counters from scrape to scrape.
+func monotone(last map[string]int64, snap obs.Snapshot) error {
+	for _, cell := range snap.Cells {
+		now := map[string]int64{
+			"runsDone":      int64(cell.RunsDone),
+			"inputRecords":  cell.InputRecords,
+			"outputRecords": cell.OutputRecords,
+		}
+		if cell.Latency != nil {
+			now["latency.count"] = cell.Latency.Count
+		}
+		for _, st := range cell.Stages {
+			now["stage "+st.Name] = st.Records
+		}
+		for name, v := range now {
+			k := cell.Key + " " + name
+			if prev, ok := last[k]; ok && v < prev {
+				return fmt.Errorf("%s went backwards: %d -> %d", k, prev, v)
 			}
-		}
-		if !found {
-			t.Errorf("final exposition missing family %s (have %v)", want, names)
+			last[k] = v
 		}
 	}
+	return nil
 }
 
 // TestSkippedCellReachesPlane checks the skip path: an unsupported

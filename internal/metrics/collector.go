@@ -70,28 +70,31 @@ type StageSummary struct {
 type LatencySummary struct {
 	// Count is the number of records the distribution covers.
 	Count int64 `json:"count"`
-	// P50, P90 and P99 are the targeted quantiles of per-record
-	// event-time latency (output append time minus input append time).
+	// P50, P90 and P99 are the exact nearest-rank quantiles of
+	// per-record event-time latency (output append time minus input
+	// append time).
 	P50 float64 `json:"p50Sec"`
 	P90 float64 `json:"p90Sec"`
 	P99 float64 `json:"p99Sec"`
-	// Max is the exact largest observed latency.
+	// Max is the largest observed latency.
 	Max float64 `json:"maxSec"`
 }
 
-// Collector gathers the telemetry of one benchmark cell: an event-time
-// latency sketch fed by the harness result calculator, and per-stage
+// Collector gathers the telemetry of one benchmark cell: the event-time
+// latencies fed by the harness result calculator, and per-stage
 // throughput counters fed concurrently by engine subtasks. A nil
 // *Collector disables collection everywhere it is threaded.
 type Collector struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// latency holds the cell's observations until Seal, which fixes
+	// summary and drops them (latency is nil from then on).
 	latency *Sketch
+	summary LatencySummary
 	stages  map[string]*Stage
 	order   []string
 }
 
-// NewCollector returns an empty collector with the default latency
-// targets.
+// NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
 		latency: MustSketch(),
@@ -99,30 +102,39 @@ func NewCollector() *Collector {
 	}
 }
 
-// ObserveLatency records one event-time latency observation. Safe for
-// concurrent use; a nil collector is a no-op.
-func (c *Collector) ObserveLatency(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.latency.Insert(d.Seconds())
-	c.mu.Unlock()
-}
-
 // ObserveLatencySeconds records a batch of latency observations (in
 // seconds) under one lock — the bulk path the harness result calculator
-// uses after pairing a whole run. Safe for concurrent use; a nil
-// collector is a no-op.
+// uses after pairing a whole run. It costs an append of the batch,
+// whatever the collector already holds. Safe for concurrent use; a nil
+// collector is a no-op. Observing into a sealed collector panics: the
+// cell's summary is already fixed.
 func (c *Collector) ObserveLatencySeconds(ds []float64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	for _, d := range ds {
-		c.latency.Insert(d)
+	defer c.mu.Unlock()
+	if c.latency == nil {
+		panic("metrics: latency observed after Seal; a sealed cell's summary is final")
 	}
-	c.mu.Unlock()
+	c.latency.vals = append(c.latency.vals, ds...)
+}
+
+// Seal fixes the latency summary and releases the observations behind
+// it: a finished cell keeps five numbers, not one per output record.
+// LatencySummary keeps answering the fixed summary; a later observation
+// panics. Sealing twice is a no-op, and so is sealing a nil collector.
+func (c *Collector) Seal() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.latency == nil {
+		return
+	}
+	c.summary = c.latency.summary()
+	c.latency = nil
 }
 
 // Stage returns the named stage's counter, creating it on first use.
@@ -163,20 +175,18 @@ func (c *Collector) EachStage(fn func(*Stage)) {
 	}
 }
 
-// LatencySummary reports the collected latency distribution.
+// LatencySummary reports the collected latency distribution: the
+// summary Seal fixed, or else the one of the observations so far.
 func (c *Collector) LatencySummary() LatencySummary {
 	if c == nil {
 		return LatencySummary{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return LatencySummary{
-		Count: c.latency.Count(),
-		P50:   c.latency.Quantile(0.50),
-		P90:   c.latency.Quantile(0.90),
-		P99:   c.latency.Quantile(0.99),
-		Max:   c.latency.Max(),
+	if c.latency == nil {
+		return c.summary
 	}
+	return c.latency.summary()
 }
 
 // StageSummaries reports every stage's throughput in first-use order.

@@ -1,9 +1,15 @@
 package metrics
 
 import (
+	"math"
+	"math/rand/v2"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"beambench/internal/stats"
 )
 
 func TestThroughputWindows(t *testing.T) {
@@ -87,7 +93,8 @@ func TestThroughputConcurrent(t *testing.T) {
 
 func TestNilCollectorIsNoOp(t *testing.T) {
 	var c *Collector
-	c.ObserveLatency(time.Second) // must not panic
+	c.ObserveLatencySeconds([]float64{1}) // must not panic
+	c.Seal()
 	s := c.Stage("x")
 	if s != nil {
 		t.Fatalf("nil collector returned non-nil stage")
@@ -118,9 +125,14 @@ func TestCollectorStagesAndLatency(t *testing.T) {
 	c.Stage("read").Mark(100)
 	c.Stage("write").Mark(40)
 	c.Stage("read").Mark(50)
-	for i := range 1000 {
-		c.ObserveLatency(time.Duration(i+1) * time.Millisecond)
+	ms := func(i int) float64 { return float64(i) / 1000 }
+	lats := make([]float64, 1000)
+	for i := range lats {
+		lats[i] = ms(1000 - i)
 	}
+	// Two batches, the second below the first: the summary merges them.
+	c.ObserveLatencySeconds(lats[:600])
+	c.ObserveLatencySeconds(lats[600:])
 
 	sums := c.StageSummaries()
 	if len(sums) != 2 || sums[0].Name != "read" || sums[1].Name != "write" {
@@ -130,20 +142,80 @@ func TestCollectorStagesAndLatency(t *testing.T) {
 		t.Errorf("records = %d/%d, want 150/40", sums[0].Records, sums[1].Records)
 	}
 
-	lat := c.LatencySummary()
-	if lat.Count != 1000 {
-		t.Errorf("latency count = %d, want 1000", lat.Count)
+	// 1..1000ms: the nearest-rank quantiles are the observations
+	// themselves.
+	want := LatencySummary{Count: 1000, P50: ms(500), P90: ms(900), P99: ms(990), Max: ms(1000)}
+	if got := c.LatencySummary(); got != want {
+		t.Errorf("LatencySummary = %+v, want %+v", got, want)
 	}
-	if lat.Max != 1.0 {
-		t.Errorf("latency max = %v, want 1.0", lat.Max)
+}
+
+// lognormalSample returns n seeded heavy-tailed latencies in seconds,
+// the shape event-time latency distributions have.
+func lognormalSample(n int) []float64 {
+	rng := rand.New(rand.NewPCG(uint64(n), 53))
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = 0.01 * math.Exp(rng.NormFloat64())
 	}
-	// p50 of 1..1000ms is ~500ms; the sketch guarantees ±1% rank error.
-	if lat.P50 < 0.480 || lat.P50 > 0.520 {
-		t.Errorf("latency p50 = %v, want ~0.5", lat.P50)
+	return xs
+}
+
+// TestLatencySummaryOrderIndependent feeds 20 seeded shuffles of one
+// lognormal sample to fresh collectors, in three uneven batches as
+// three runs of a cell would arrive. Every order must give the same
+// summary, and that summary must be exact: the quantiles equal
+// stats.Percentile of the sample, the maximum its largest element.
+func TestLatencySummaryOrderIndependent(t *testing.T) {
+	for _, n := range []int{3_000, 10_000, 100_000} {
+		sample := lognormalSample(n)
+		var want LatencySummary
+		want.Count = int64(n)
+		for q, dst := range map[float64]*float64{0.50: &want.P50, 0.90: &want.P90, 0.99: &want.P99} {
+			v, err := stats.Percentile(sample, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*dst = v
+		}
+		want.Max = slices.Max(sample)
+
+		rng := rand.New(rand.NewPCG(uint64(n), 97))
+		order := slices.Clone(sample)
+		for shuffle := range 20 {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			c := NewCollector()
+			c.ObserveLatencySeconds(order[:n/5])
+			c.ObserveLatencySeconds(order[n/5 : n/2])
+			c.ObserveLatencySeconds(order[n/2:])
+			if got := c.LatencySummary(); got != want {
+				t.Fatalf("n=%d shuffle %d: LatencySummary = %+v, want %+v", n, shuffle, got, want)
+			}
+		}
 	}
-	if lat.P99 < 0.985 || lat.P99 > 1.0 {
-		t.Errorf("latency p99 = %v, want ~0.99", lat.P99)
+}
+
+// TestSealFixesSummary pins the end-of-cell contract: Seal keeps the
+// summary, drops the observations, and an observation after it panics.
+func TestSealFixesSummary(t *testing.T) {
+	c := NewCollector()
+	c.ObserveLatencySeconds(lognormalSample(1000))
+	before := c.LatencySummary()
+	c.Seal()
+	c.Seal() // idempotent
+	if c.latency != nil {
+		t.Fatalf("sealed collector still holds %d observations", c.latency.Count())
 	}
+	if got := c.LatencySummary(); got != before {
+		t.Fatalf("LatencySummary after Seal = %+v, before = %+v", got, before)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "after Seal") {
+			t.Fatalf("observation after Seal: recovered %q, want a panic naming Seal", msg)
+		}
+	}()
+	c.ObserveLatencySeconds([]float64{1})
 }
 
 func TestRegistryConcurrentGetOrCreate(t *testing.T) {

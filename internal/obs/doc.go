@@ -62,10 +62,9 @@
 // sit on a per-record path (the collector is internally locked, gauges
 // are atomics, broker accessors take broker-internal locks).
 //
-// Serve exposes the plane over HTTP: /metrics in OpenMetrics text
-// exposition (hand-rolled writer + strict parser in openmetrics.go, no
-// dependencies), /snapshot as versioned JSON (SnapshotSchemaVersion),
-// and /debug/pprof on an explicitly built mux. The same nil-safe
+// Serve exposes the plane over HTTP: /snapshot as versioned JSON
+// (SnapshotSchemaVersion), the one live exposition that -watch and
+// scrapers read, and /debug/pprof on an explicitly built mux. The same nil-safe
 // contract applies end to end: a nil *Plane is a valid disabled plane
 // — Cell returns a nil *LiveCell whose lifecycle methods no-op, and a
 // nil plane still serves the empty snapshot — so the harness threads

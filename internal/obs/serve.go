@@ -16,9 +16,8 @@ import (
 // before tearing connections down hard.
 const shutdownGrace = 5 * time.Second
 
-// Server is the exposition endpoint of one plane: /metrics in
-// OpenMetrics text format, /snapshot as versioned JSON, and
-// /debug/pprof for live profiling. It serves scrape traffic only —
+// Server is the exposition endpoint of one plane: /snapshot as
+// versioned JSON, and /debug/pprof for live profiling. It serves scrape traffic only —
 // nothing on it touches a per-record path.
 type Server struct {
 	ln  net.Listener
@@ -43,10 +42,6 @@ func (p *Plane) Serve(addr string) (*Server, error) {
 		return nil, fmt.Errorf("obs: serve %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", OpenMetricsContentType)
-		_ = p.WriteOpenMetrics(w)
-	})
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)

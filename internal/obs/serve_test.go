@@ -4,9 +4,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
+
+	"beambench/internal/metrics"
 )
 
 // scrapeClient returns a client whose idle connections are torn down at
@@ -32,6 +33,29 @@ func get(t *testing.T, c *http.Client, url string) (int, string, http.Header) {
 	return resp.StatusCode, string(body), resp.Header
 }
 
+// populatedPlane builds a plane with one running cell that has every
+// live source attached, next to one pending cell.
+func populatedPlane(t *testing.T) *Plane {
+	t.Helper()
+	p := NewPlane(500, 2)
+	p.Expect([]string{`cell "weird\name`, "cell-two"})
+
+	col := metrics.NewCollector()
+	col.Stage("source").Mark(42)
+	col.ObserveLatencySeconds([]float64{0.1})
+
+	tr := NewTracer(4).Scoped(`cell "weird\name/run0`)
+	tr.Gauge("watermark-lag/op").SetTime(time.Unix(50, 0))
+
+	p.Cell(`cell "weird\name`).StartRun(CellSources{
+		Collector:   col,
+		Tracer:      tr,
+		ConsumerLag: func() []LagSample { return []LagSample{{Topic: "input", Partition: 1, Lag: 9}} },
+		TopicEnds:   func() (int64, int64, bool) { return 100, 42, true },
+	})
+	return p
+}
+
 func TestServeEndpoints(t *testing.T) {
 	p := populatedPlane(t)
 	s, err := p.Serve("127.0.0.1:0")
@@ -45,18 +69,12 @@ func TestServeEndpoints(t *testing.T) {
 	}()
 	c := scrapeClient(t)
 
-	code, body, hdr := get(t, c, s.URL()+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics status = %d", code)
-	}
-	if got := hdr.Get("Content-Type"); got != OpenMetricsContentType {
-		t.Fatalf("/metrics content type = %q", got)
-	}
-	if _, err := ParseOpenMetrics(strings.NewReader(body)); err != nil {
-		t.Fatalf("/metrics does not parse: %v", err)
+	// /snapshot is the plane's one exposition; there is no /metrics.
+	if code, _, _ := get(t, c, s.URL()+"/metrics"); code != http.StatusNotFound {
+		t.Fatalf("/metrics status = %d, want 404", code)
 	}
 
-	code, body, hdr = get(t, c, s.URL()+"/snapshot")
+	code, body, hdr := get(t, c, s.URL()+"/snapshot")
 	if code != http.StatusOK {
 		t.Fatalf("/snapshot status = %d", code)
 	}
@@ -69,6 +87,9 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if snap.Schema != SnapshotSchemaVersion || len(snap.Cells) != 2 {
 		t.Fatalf("/snapshot payload = %+v", snap)
+	}
+	if lat := snap.Cells[0].Latency; lat == nil || lat.Count != 1 || lat.P99 != 0.1 {
+		t.Fatalf("/snapshot running cell latency = %+v", lat)
 	}
 
 	code, body, _ = get(t, c, s.URL()+"/debug/pprof/")

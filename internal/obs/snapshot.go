@@ -72,8 +72,9 @@ type CellSnapshot struct {
 	// Stages lists per-stage throughput, sorted by stage name for a
 	// byte-stable feed.
 	Stages []StageSnapshot `json:"stages,omitempty"`
-	// Latency is the cell's event-time latency sketch so far; nil until
-	// the first run's result calculation lands observations.
+	// Latency is the cell's event-time latency summary so far (fixed
+	// once the cell ends); nil until the first run's result calculation
+	// lands observations.
 	Latency *metrics.LatencySummary `json:"latency,omitempty"`
 	// ConsumerLag and WatermarkLag are live only while a run executes;
 	// both empty on finished cells.
@@ -220,7 +221,7 @@ func (lc *LiveCell) StartRun(src CellSources) {
 // EndRun records a completed run and detaches the run's broker-backed
 // sources (the broker is about to be discarded), keeping the final
 // topic end offsets and the collector, whose stage totals and latency
-// sketch persist across runs. Nil-safe.
+// observations persist across runs. Nil-safe.
 func (lc *LiveCell) EndRun() {
 	if lc == nil {
 		return
@@ -328,7 +329,7 @@ func (p *Plane) Snapshot() Snapshot {
 // (per scrape, in LiveCell.snapshot) and the Monitor (per tick): it
 // fills a snapshot's consumer lag, watermark lag and stage rates, with
 // stages sorted by name for a byte-stable feed. Topic ends and the
-// latency sketch are the snapshot's own additions, so a Monitor tick
+// latency summary are the snapshot's own additions, so a Monitor tick
 // never pays for them.
 func (src CellSources) read() CellSnapshot {
 	var cs CellSnapshot

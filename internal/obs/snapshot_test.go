@@ -42,7 +42,7 @@ func TestPlaneLifecycle(t *testing.T) {
 	col := metrics.NewCollector()
 	col.Stage("source").Mark(10)
 	col.Stage("sink").Mark(7)
-	col.ObserveLatency(250 * time.Millisecond)
+	col.ObserveLatencySeconds([]float64{0.25})
 
 	lc := p.Cell("cell-b")
 	lc.StartRun(CellSources{
