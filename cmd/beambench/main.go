@@ -285,6 +285,7 @@ func run(args []string, out io.Writer) error {
 		return runErr
 	}
 
+	fmt.Fprintf(out, "Host: %s\n\n", rep.Host)
 	switch {
 	case *all:
 		for n := 6; n <= 11; n++ {

@@ -136,6 +136,12 @@ func TestRunWorkersFlag(t *testing.T) {
 		}
 		return out
 	}
+	// The text header records the worker count each run used.
+	for out, want := range map[string]string{seq.String(): "workers=1 ", par.String(): "workers=4 "} {
+		if first, _, _ := strings.Cut(out, "\n"); !strings.HasPrefix(first, "Host: nproc=") || !strings.Contains(first, want) {
+			t.Errorf("header %q, want the host facts with %q", first, want)
+		}
+	}
 	seqRows, parRows := rowLabels(seq.String()), rowLabels(par.String())
 	if len(seqRows) != 12 {
 		t.Fatalf("sequential figure has %d rows, want 12:\n%s", len(seqRows), seq.String())

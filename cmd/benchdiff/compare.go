@@ -64,6 +64,11 @@ type CellDiff struct {
 // Diff is the whole comparison.
 type Diff struct {
 	Thresholds Thresholds `json:"thresholds"`
+	// BaseHost and CandHost are the host facts each report recorded;
+	// nil for a report recorded before they were kept. A difference is
+	// reported, never failed: it explains a time delta, it is not one.
+	BaseHost *harness.Host `json:"baseHost,omitempty"`
+	CandHost *harness.Host `json:"candHost,omitempty"`
 	// Cells compared on both sides, in baseline (canonical) order.
 	Cells []CellDiff `json:"cells"`
 	// MissingCells ran in the baseline but not the candidate;
@@ -95,7 +100,7 @@ func (d *Diff) Regressed() bool {
 // but latency quantiles are compared raw, so latency thresholds only
 // make sense between same-shape runs.
 func Compare(base, cand *harness.ReportJSON, th Thresholds) *Diff {
-	d := &Diff{Thresholds: th}
+	d := &Diff{Thresholds: th, BaseHost: base.Host, CandHost: cand.Host}
 	candByKey := map[string]*harness.CellJSON{}
 	for i := range cand.Cells {
 		candByKey[cand.Cells[i].Key()] = &cand.Cells[i]
@@ -184,6 +189,13 @@ func perRecordSec(meanSec float64, records int) float64 {
 	return meanSec / float64(records)
 }
 
+func hostLabel(h *harness.Host) string {
+	if h == nil {
+		return "not recorded"
+	}
+	return h.String()
+}
+
 // relDelta is (cand-base)/base, positive = candidate slower/larger.
 func relDelta(base, cand float64) float64 {
 	if base == 0 {
@@ -194,6 +206,9 @@ func relDelta(base, cand float64) float64 {
 
 // WriteTable renders the human-readable comparison.
 func (d *Diff) WriteTable(w io.Writer) {
+	if d.BaseHost != nil || d.CandHost != nil {
+		fmt.Fprintf(w, "HOST base: %s; candidate: %s\n", hostLabel(d.BaseHost), hostLabel(d.CandHost))
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "CELL\tBASE ns/rec\tCAND ns/rec\tΔ time\tΔ p50\tΔ p99\tVERDICT")
 	for _, c := range d.Cells {

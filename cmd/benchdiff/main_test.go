@@ -220,3 +220,23 @@ func TestOperationalErrorsExitTwo(t *testing.T) {
 		t.Fatal("negative threshold did not exit 2")
 	}
 }
+
+// TestHostFactsOptional: a baseline recorded before host facts were
+// kept compares against a candidate that has them; the differing host
+// is shown, and it does not fail the comparison.
+func TestHostFactsOptional(t *testing.T) {
+	base := writeReport(t, baseReport(), "base.json")
+	withHost := baseReport()
+	withHost.Host = &harness.Host{NumCPU: 2, GOMAXPROCS: 1, Workers: 4, GoVersion: "go1.24.0"}
+	cand := writeReport(t, withHost, "cand.json")
+	code, out, _ := runDiff(t, base, cand)
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0\n%s", code, out)
+	}
+	if want := "HOST base: not recorded; candidate: nproc=2 GOMAXPROCS=1 workers=4 go1.24.0"; !strings.Contains(out, want) {
+		t.Fatalf("host line missing %q:\n%s", want, out)
+	}
+	if _, out, _ := runDiff(t, base, base); strings.Contains(out, "HOST") {
+		t.Fatalf("host line printed though neither report records one:\n%s", out)
+	}
+}

@@ -10,10 +10,10 @@ import (
 )
 
 // DefaultWorkers is the worker count used for automatic sizing: one
-// worker per available CPU. Concurrent cells contend for CPU while the
-// modeled latencies busy-wait, which speeds the matrix up but adds
-// scheduling noise to the measured times; use one worker when the
-// absolute numbers matter more than wall-clock time.
+// worker per available CPU. The modeled latencies are waits that hold
+// no core, so concurrent cells leave each other's charged spans alone;
+// only their real Go compute contends, which moves cells whose span is
+// a few milliseconds of compute. Use one worker for those.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // MatrixSetups enumerates the benchmark cells of the given queries in
@@ -140,6 +140,7 @@ dispatch:
 	if err != nil {
 		return nil, err
 	}
+	rep.Host.Workers = workers
 	rep.AttachMetrics(r.metrics)
 	return rep, firstErr
 }

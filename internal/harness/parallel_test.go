@@ -76,6 +76,13 @@ func TestRunAllParallelMatchesSequentialOrdering(t *testing.T) {
 				i, len(seq.Cells[i].TimesSec), len(par.Cells[i].TimesSec))
 		}
 	}
+	// Each report records the worker count it actually ran with.
+	if seq.Host.Workers != 1 || par.Host.Workers != 4 {
+		t.Errorf("host workers: sequential %d, parallel %d, want 1 and 4", seq.Host.Workers, par.Host.Workers)
+	}
+	if want := currentHost(4); par.Host != want {
+		t.Errorf("parallel host = %v, want %v", par.Host, want)
+	}
 }
 
 // TestRunAllUsesConfiguredWorkers checks the Config.Workers wiring: a

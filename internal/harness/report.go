@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -62,10 +63,39 @@ type Report struct {
 	// RateRecordsPerSec is the streaming sender's configured rate; 0
 	// means unthrottled (or preload mode).
 	RateRecordsPerSec int
+	// Host records the machine and scheduler the matrix ran on.
+	Host Host
 	// Cells holds one aggregate per setup, in insertion order.
 	Cells []*Cell
 
 	byKey map[Setup]*Cell
+}
+
+// Host is what a report's times depend on besides the code: the
+// host's core count, the Go scheduler's processor count, how many
+// cells ran at once, and the toolchain. It is recorded, not
+// configured.
+type Host struct {
+	NumCPU     int    `json:"numCPU"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Workers    int    `json:"workers"`
+	GoVersion  string `json:"goVersion"`
+}
+
+// currentHost reads the running process's host facts for a matrix run
+// on the given number of workers.
+func currentHost(workers int) Host {
+	return Host{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Workers:    max(workers, 1),
+		GoVersion:  runtime.Version(),
+	}
+}
+
+// String renders the host facts for the text header above the figures.
+func (h Host) String() string {
+	return fmt.Sprintf("nproc=%d GOMAXPROCS=%d workers=%d %s", h.NumCPU, h.GOMAXPROCS, h.Workers, h.GoVersion)
 }
 
 // BuildReport aggregates raw run results into a report.
@@ -77,6 +107,7 @@ func BuildReport(cfg Config, results []RunResult) (*Report, error) {
 		Fusion:            cfg.Fusion.String(),
 		Ingest:            cfg.Ingest.String(),
 		RateRecordsPerSec: cfg.RateRecordsPerSec,
+		Host:              currentHost(cfg.Workers),
 		byKey:             make(map[Setup]*Cell),
 	}
 	for _, res := range results {
@@ -426,13 +457,15 @@ func (c *CellJSON) Key() string {
 
 // ReportJSON is the serialized report.
 type ReportJSON struct {
-	Records           int        `json:"records"`
-	Runs              int        `json:"runs"`
-	Parallelisms      []int      `json:"parallelisms"`
-	Fusion            string     `json:"fusion"`
-	Ingest            string     `json:"ingest"`
-	RateRecordsPerSec int        `json:"rateRecordsPerSec,omitempty"`
-	Cells             []CellJSON `json:"cells"`
+	Records           int    `json:"records"`
+	Runs              int    `json:"runs"`
+	Parallelisms      []int  `json:"parallelisms"`
+	Fusion            string `json:"fusion"`
+	Ingest            string `json:"ingest"`
+	RateRecordsPerSec int    `json:"rateRecordsPerSec,omitempty"`
+	// Host is nil in reports recorded before host facts were kept.
+	Host  *Host      `json:"host,omitempty"`
+	Cells []CellJSON `json:"cells"`
 }
 
 // Write serializes with the report encoder settings (two-space
@@ -462,6 +495,7 @@ func ParseReportJSON(r io.Reader) (*ReportJSON, error) {
 // matrix order (query, then system, API, parallelism — the
 // MatrixSetups order), stage and gauge lists sorted by name.
 func (rep *Report) JSON() *ReportJSON {
+	host := rep.Host
 	out := &ReportJSON{
 		Records:           rep.Records,
 		Runs:              rep.Runs,
@@ -469,6 +503,7 @@ func (rep *Report) JSON() *ReportJSON {
 		Fusion:            rep.Fusion,
 		Ingest:            rep.Ingest,
 		RateRecordsPerSec: rep.RateRecordsPerSec,
+		Host:              &host,
 	}
 	cells := append([]*Cell(nil), rep.Cells...)
 	sort.SliceStable(cells, func(i, j int) bool { return canonicalLess(cells[i].Setup, cells[j].Setup) })

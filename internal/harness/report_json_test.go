@@ -36,6 +36,7 @@ func scrambledReport(t *testing.T) *Report {
 		Parallelisms: []int{1, 2},
 		Fusion:       "default",
 		Ingest:       "preload",
+		Host:         Host{NumCPU: 2, GOMAXPROCS: 2, Workers: 4, GoVersion: "go1.24.0"},
 		Cells: []*Cell{
 			mk(SystemSpark, APINative, qs[1], 2),
 			mk(SystemFlink, APIBeam, qs[1], 2),
@@ -97,6 +98,47 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 	if parsed.Records != rep.Records || parsed.Runs != rep.Runs || len(parsed.Cells) != len(rep.Cells) {
 		t.Fatalf("parsed header = %+v", parsed)
+	}
+}
+
+// TestReportJSONHostFacts: the host facts survive a round trip, and a
+// report recorded before they were kept still parses, with no host,
+// and re-serializes byte-identically.
+func TestReportJSONHostFacts(t *testing.T) {
+	rep := scrambledReport(t)
+	var withHost bytes.Buffer
+	if err := rep.WriteJSON(&withHost); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseReportJSON(bytes.NewReader(withHost.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parsed.Host == nil || *parsed.Host != rep.Host {
+		t.Fatalf("parsed host = %v, want %v", parsed.Host, rep.Host)
+	}
+
+	parsed.Host = nil
+	var without bytes.Buffer
+	if err := parsed.Write(&without); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(without.Bytes(), []byte(`"host"`)) {
+		t.Fatalf("report without host facts serialized a host block:\n%s", without.String())
+	}
+	old, err := ParseReportJSON(bytes.NewReader(without.Bytes()))
+	if err != nil {
+		t.Fatalf("report without host facts rejected: %v", err)
+	}
+	if old.Host != nil {
+		t.Fatalf("report without host facts parsed a host: %v", old.Host)
+	}
+	var again bytes.Buffer
+	if err := old.Write(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(without.Bytes(), again.Bytes()) {
+		t.Fatalf("report without host facts not byte-stable:\nfirst:\n%s\nsecond:\n%s", without.String(), again.String())
 	}
 }
 

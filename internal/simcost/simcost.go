@@ -10,33 +10,29 @@
 // with these charges reproduce the relative results of the paper.
 //
 // Charges are accumulated per goroutine in a Meter and realized as a
-// busy-wait (small amounts) or sleep+spin (large amounts), so the measured
-// wall-clock execution times behave like real processing time.
+// wait that holds no core: the goroutine yields once, then blocks its
+// thread until the owed time has passed. The timer's overshoot is kept
+// as credit against the meter's next charges, so a meter's realized
+// wall time tracks its total charge instead of drifting by one
+// overshoot per flush. Like a task on its own machine, a waiting task
+// leaves the host's cores to the other tasks, so the time a task is
+// charged does not depend on how many cores the host has; only real
+// Go compute still contends for them.
 package simcost
 
 import (
 	"hash/fnv"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"time"
 )
 
-const (
-	// _flushThreshold is the amount of accrued charge at which a Meter
-	// converts the accrual into real elapsed time. Small enough to keep
-	// time flowing smoothly, large enough that the accounting overhead
-	// is negligible next to the charge itself.
-	_flushThreshold = 100 * time.Microsecond
-
-	// _sleepCutover is the charge size above which the Meter sleeps for
-	// the bulk of the duration instead of spinning, to avoid burning a
-	// core for milliseconds at a time.
-	_sleepCutover = 2 * time.Millisecond
-
-	// _sleepSlack is the tail of a large charge that is spun rather than
-	// slept, compensating for the OS timer granularity.
-	_sleepSlack = 250 * time.Microsecond
-)
+// _flushThreshold is the amount of owed charge at which a Meter
+// converts it into real elapsed time. Small enough to keep time
+// flowing smoothly, large enough that the accounting overhead is
+// negligible next to the charge itself.
+const _flushThreshold = 100 * time.Microsecond
 
 // Simulator applies time charges scaled by a per-run noise multiplier.
 // A nil *Simulator is valid and charges nothing, so unit tests that do
@@ -75,8 +71,11 @@ func (s *Simulator) NewMeter() *Meter {
 // Meter accrues charges for a single goroutine and converts them into
 // elapsed time once they cross a flush threshold.
 type Meter struct {
-	sim     *Simulator
-	accrued time.Duration
+	sim *Simulator
+	// owed is the charge not yet realized as elapsed time. A wait that
+	// overshoots leaves it negative: that credit is spent by the next
+	// charges before the meter waits again.
+	owed    time.Duration
 	charged time.Duration
 }
 
@@ -85,8 +84,10 @@ func (m *Meter) Charge(d time.Duration) {
 	if m == nil || m.sim == nil || m.sim.disabled || d <= 0 {
 		return
 	}
-	m.accrued += time.Duration(float64(d) * m.sim.multiplier)
-	if m.accrued >= _flushThreshold {
+	d = time.Duration(float64(d) * m.sim.multiplier)
+	m.charged += d
+	m.owed += d
+	if m.owed >= _flushThreshold {
 		m.Flush()
 	}
 }
@@ -99,47 +100,27 @@ func (m *Meter) ChargeN(d time.Duration, n int) {
 	m.Charge(time.Duration(int64(d) * int64(n)))
 }
 
-// Flush realizes any accrued charge as elapsed time immediately.
+// Flush realizes the owed charge as elapsed time now. A charge the
+// credit covers returns at once; otherwise the goroutine yields, so
+// work readied onto its thread runs elsewhere, and then blocks until
+// the owed time has passed since the flush began.
 func (m *Meter) Flush() {
-	if m == nil || m.accrued <= 0 {
+	if m == nil || m.owed <= 0 {
 		return
 	}
-	d := m.accrued
-	m.accrued = 0
-	m.charged += d
-	elapse(d)
+	t0 := time.Now()
+	runtime.Gosched()
+	waitUntil(t0.Add(m.owed))
+	m.owed -= time.Since(t0)
 }
 
-// Charged reports the total time this meter has realized, for tests.
+// Charged reports the total charge this meter has taken, for tests;
+// after a Flush all of it has passed as elapsed time.
 func (m *Meter) Charged() time.Duration {
 	if m == nil {
 		return 0
 	}
 	return m.charged
-}
-
-// elapse makes d of wall-clock time pass: sleep for the bulk of large
-// durations, busy-wait for precision on the remainder.
-func elapse(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if d >= _sleepCutover {
-		time.Sleep(d - _sleepSlack)
-	}
-	deadline := time.Now().Add(remainderAfterSleep(d))
-	for time.Now().Before(deadline) {
-		// spin
-	}
-}
-
-// remainderAfterSleep returns how much of d should be spun after the
-// sleeping portion of elapse has completed.
-func remainderAfterSleep(d time.Duration) time.Duration {
-	if d >= _sleepCutover {
-		return _sleepSlack
-	}
-	return d
 }
 
 // RunSeed derives a deterministic 64-bit seed from the identifying parts

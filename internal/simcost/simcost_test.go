@@ -73,15 +73,59 @@ func TestChargeNNonPositive(t *testing.T) {
 	}
 }
 
-func TestLargeChargeUsesSleepPath(t *testing.T) {
-	s := New(1.0)
-	m := s.NewMeter()
+// TestNoDrift makes 10^4 small charges on one meter. Every flush's
+// timer overshoots its deadline, but the overshoot is credited against
+// the next charge, so the wall time the meter realizes stays within
+// one overshoot of the total charge instead of growing with the number
+// of flushes.
+func TestNoDrift(t *testing.T) {
+	const (
+		n      = 10_000
+		charge = 10 * time.Microsecond
+		// slack covers the loop's own work between flushes.
+		slack = 2 * time.Millisecond
+	)
+	m := New(1.0).NewMeter()
+	var maxOvershoot time.Duration
 	start := time.Now()
-	m.Charge(5 * time.Millisecond)
+	for range n {
+		m.Charge(charge)
+		maxOvershoot = max(maxOvershoot, -m.owed)
+	}
 	m.Flush()
 	elapsed := time.Since(start)
-	if elapsed < 4*time.Millisecond {
-		t.Errorf("elapsed %v, want >= ~5ms", elapsed)
+	if got, want := m.Charged(), n*charge; got != want {
+		t.Fatalf("charged %v, want %v", got, want)
+	}
+	drift := elapsed - m.Charged()
+	t.Logf("realized %v for %v charged: drift %v, largest overshoot %v", elapsed, m.Charged(), drift, maxOvershoot)
+	if drift < 0 {
+		t.Errorf("realized %v, less than the %v charged", elapsed, m.Charged())
+	}
+	if drift > maxOvershoot+slack {
+		t.Errorf("realized %v for %v charged: drift %v exceeds one timer overshoot (max %v) + %v",
+			elapsed, m.Charged(), drift, maxOvershoot, slack)
+	}
+}
+
+// TestChargeWithinCreditDoesNotWait: a flush whose charge the credit
+// left by an earlier overshoot covers takes the charge from the credit
+// and returns without waiting.
+func TestChargeWithinCreditDoesNotWait(t *testing.T) {
+	m := New(1.0).NewMeter()
+	m.Charge(200 * time.Microsecond) // crosses the threshold: waits
+	credit := -m.owed
+	if credit <= 0 {
+		t.Fatalf("credit after a wait = %v, want the timer's overshoot (> 0)", credit)
+	}
+	small := credit / 2
+	m.Charge(small)
+	m.Flush()
+	if got, want := -m.owed, credit-small; got != want {
+		t.Errorf("credit after a covered charge = %v, want %v (the charge taken from it, no wait)", got, want)
+	}
+	if got, want := m.Charged(), 200*time.Microsecond+small; got != want {
+		t.Errorf("charged %v, want %v", got, want)
 	}
 }
 
